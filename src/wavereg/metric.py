@@ -5,10 +5,19 @@ pair contributes one count to exactly one cell, with the bin edges spread
 linearly over each image's masked intensity range (top edge inclusive).
 Ranges are recomputed from the masked region at every evaluation so warp
 fill values never stretch the bins.
+
+Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
+and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
+``histogram`` does for uniform bins. After the correction every sample sits
+in the bin ``np.histogram2d`` would give it: the last edge not above it,
+with the top edge counted in the last bin. ``np.bincount`` over the
+flattened (fixed, moving) index then fills the joint histogram, in passes of
+at most ``_CHUNK`` samples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +26,10 @@ import numpy as np
 @dataclass
 class MetricConfig:
     histogram_bins: int = 50
-    use_all_pixels: bool = True
-    num_spatial_samples: int = 500
-    sample_seed: int = 0
 
     def validate(self) -> None:
         if self.histogram_bins < 2:
             raise ValueError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
-        if not self.use_all_pixels and self.num_spatial_samples < self.histogram_bins:
-            raise ValueError("num_spatial_samples must be >= histogram_bins")
 
 
 @dataclass
@@ -36,6 +40,33 @@ class JointHistogram:
     moving_range: tuple[float, float]
     total: float
     degenerate: bool = False
+
+
+# samples binned per pass. A pass's temporaries (128 KiB each) are reused
+# from the allocator's free lists; whole-overlap temporaries on a 256x256
+# level push the heap past glibc's trim threshold, so each call would give
+# about 2 MB back to the kernel and page-fault it in again.
+_CHUNK = 16384
+
+
+def _bin_index(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    """Index of the ``linspace(lo, hi, bins + 1)`` bin holding each value in
+    [lo, hi]: the last edge not above it, the top edge in the last bin."""
+    edges = np.linspace(lo, hi, bins + 1)
+    lower = edges[:-1]
+    upper = edges[1:].copy()
+    upper[-1] = np.inf  # the last bin includes the top edge
+    index = ((values - lo) / (hi - lo) * bins).astype(np.intp)
+    np.minimum(index, bins - 1, out=index)
+    # the arithmetic index can miss an edge by an ULP; when edges closer
+    # than an ULP repeat, one step is not always enough
+    while True:
+        down = values < lower[index]
+        up = values >= upper[index]
+        if not (down.any() or up.any()):
+            return index
+        index -= down
+        index += up
 
 
 def joint_histogram(
@@ -58,13 +89,11 @@ def joint_histogram(
     mvals = moving[mask]
     if fvals.size == 0:
         raise ValueError("no overlap: empty mask")
-    if not config.use_all_pixels and fvals.size > config.num_spatial_samples:
-        rng = np.random.default_rng(config.sample_seed)
-        idx = rng.choice(fvals.size, size=config.num_spatial_samples, replace=False)
-        fvals = fvals[idx]
-        mvals = mvals[idx]
     fmin, fmax = float(fvals.min()), float(fvals.max())
     mmin, mmax = float(mvals.min()), float(mvals.max())
+    if not (math.isfinite(fmin) and math.isfinite(fmax)
+            and math.isfinite(mmin) and math.isfinite(mmax)):
+        raise ValueError("non-finite intensities in the overlap")
     bins = config.histogram_bins
     if fmin == fmax or mmin == mmax:
         counts = np.zeros((bins, bins))
@@ -73,9 +102,13 @@ def joint_histogram(
             counts=counts, bins=bins, fixed_range=(fmin, fmax),
             moving_range=(mmin, mmax), total=float(fvals.size), degenerate=True,
         )
-    counts, _, _ = np.histogram2d(
-        fvals, mvals, bins=bins, range=[[fmin, fmax], [mmin, mmax]]
-    )
+    counts = np.zeros(bins * bins)
+    for start in range(0, fvals.size, _CHUNK):
+        stop = start + _CHUNK
+        cell = _bin_index(fvals[start:stop], fmin, fmax, bins) * bins
+        cell += _bin_index(mvals[start:stop], mmin, mmax, bins)
+        counts += np.bincount(cell, minlength=bins * bins)
+    counts = counts.reshape(bins, bins)
     return JointHistogram(
         counts=counts, bins=bins, fixed_range=(fmin, fmax),
         moving_range=(mmin, mmax), total=float(counts.sum()),

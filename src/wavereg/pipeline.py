@@ -26,7 +26,6 @@ from .optimizer import OptimizerConfig, OptimizerTrace, optimize
 from .pyramid import build_pyramid
 from .transform import (
     AffineParams,
-    image_center,
     scale_params_between_levels,
     warp,
 )
@@ -35,9 +34,6 @@ from .wavelet import SubBands, dwt2, idwt2
 METHODS = ("pyramid", "wavelet", "dwt_pyramid")
 
 MIN_IMAGE_SIZE = 32
-
-_BAND_ORDER = ("ll", "lh", "hl", "hh")
-
 
 class RegistrationError(Exception):
     """Raised when a registration run cannot proceed."""
@@ -79,24 +75,20 @@ class RegistrationResult:
 def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
     if fixed.ndim != 2 or moving.ndim != 2:
         raise ValueError("images must be 2-D")
-    if min(fixed.shape) < MIN_IMAGE_SIZE or min(moving.shape) < MIN_IMAGE_SIZE:
+    if fixed.shape != moving.shape:
+        raise ValueError(
+            f"fixed and moving images differ in shape: {fixed.shape} vs {moving.shape}"
+        )
+    if min(fixed.shape) < MIN_IMAGE_SIZE:
         raise ValueError(f"images must be at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
+    for name, image in (("fixed", fixed), ("moving", moving)):
+        if not np.isfinite(image).all():
+            raise ValueError(f"{name} image has non-finite pixels (NaN or Inf)")
 
 
 # candidates keeping less than this fraction of a level in overlap are
 # treated as having lost the registration
 MIN_OVERLAP_FRACTION = 0.5
-
-
-def _pair_mi(fixed_img, moving_img, params, metric_cfg) -> float:
-    """MI objective for one image pair; -inf when overlap is lost."""
-    warped, mask = warp(moving_img, params)
-    if np.count_nonzero(mask) < MIN_OVERLAP_FRACTION * mask.size:
-        return -math.inf
-    try:
-        return mi_between(fixed_img, warped, mask, metric_cfg)
-    except ValueError:
-        return -math.inf
 
 
 def _level_metric(metric_cfg: MetricConfig, image: np.ndarray) -> MetricConfig:
@@ -151,14 +143,10 @@ def _reconstruct_from_bands(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Warp the four moving sub-bands with one sub-band-space transform and
     inverse transform into the registered full-resolution image."""
-    warped = {}
-    mask = None
-    for name in _BAND_ORDER:
-        plane = getattr(moving_bands, name)
-        warped[name], mask = warp(plane, params)
+    warped, mask = warp(np.stack(moving_bands.planes), params)
     registered = idwt2(
         SubBands(
-            ll=warped["ll"], lh=warped["lh"], hl=warped["hl"], hh=warped["hh"],
+            *warped,
             original_width=moving_bands.original_width,
             original_height=moving_bands.original_height,
         )
@@ -200,41 +188,40 @@ def register_pyramid(
     pyr_m = build_pyramid(moving, config.pyramid_levels)
     num_levels = min(len(pyr_f), len(pyr_m))
 
-    def make_objective(level):
-        f_img = pyr_f.levels[level]
-        m_img = pyr_m.levels[level]
-        metric_cfg = _level_metric(config.metric, f_img)
-        return lambda p: _pair_mi(f_img, m_img, p, metric_cfg)
-
-    objectives = [make_objective(i) for i in range(num_levels)]
+    objectives = [
+        _stack_objective([pyr_f.levels[i]], [pyr_m.levels[i]], config.metric)
+        for i in range(num_levels)
+    ]
     params, traces = _coarse_to_fine(objectives, config)
     registered, mask = warp(moving, params)
     return _finalize(fixed, registered, mask, params, traces, "pyramid", config.metric)
 
 
-def _band_objective(fixed_bands, moving_bands, config: RegistrationConfig, level_pyrs=None, level=0):
-    """Objective over the four band pairs (or LL only), summed in fixed order."""
-    if config.subband_objective == "ll_only":
-        names = ("ll",)
-    else:
-        names = _BAND_ORDER
+def _stack_objective(fixed_planes, moving_planes, metric_cfg: MetricConfig):
+    """Objective summing the MI of each plane pair, in the given order, under
+    one shared transform; -inf when the overlap is lost or any pair fails.
+    The moving planes are stacked once so each evaluation is one warp."""
+    moving = np.stack(moving_planes)
+    cfgs = [_level_metric(metric_cfg, f_img) for f_img in fixed_planes]
 
     def objective(p: AffineParams) -> float:
+        warped, mask = warp(moving, p)
+        if np.count_nonzero(mask) < MIN_OVERLAP_FRACTION * mask.size:
+            return -math.inf
         total = 0.0
-        for name in names:
-            if level_pyrs is None:
-                f_img = getattr(fixed_bands, name)
-                m_img = getattr(moving_bands, name)
-            else:
-                f_img = level_pyrs[0][name].levels[level]
-                m_img = level_pyrs[1][name].levels[level]
-            value = _pair_mi(f_img, m_img, p, _level_metric(config.metric, f_img))
-            if not math.isfinite(value):
+        for f_img, m_img, cfg in zip(fixed_planes, warped, cfgs):
+            try:
+                total += mi_between(f_img, m_img, mask, cfg)
+            except ValueError:
                 return -math.inf
-            total += value
         return total
 
     return objective
+
+
+def _objective_bands(config: RegistrationConfig) -> int:
+    """How many sub-bands, in ``SubBands.planes`` order, the objective sums."""
+    return 1 if config.subband_objective == "ll_only" else 4
 
 
 def _subband_config(config: RegistrationConfig) -> RegistrationConfig:
@@ -254,7 +241,9 @@ def register_wavelet(
     _check_inputs(fixed, moving)
     fixed_bands = dwt2(fixed)
     moving_bands = dwt2(moving)
-    objectives = [_band_objective(fixed_bands, moving_bands, config)]
+    n = _objective_bands(config)
+    objectives = [_stack_objective(fixed_bands.planes[:n], moving_bands.planes[:n],
+                                   config.metric)]
     sub_params, traces = _coarse_to_fine(objectives, _subband_config(config))
     registered, mask = _reconstruct_from_bands(moving_bands, sub_params)
     full_params = scale_params_between_levels(sub_params, 2.0)
@@ -272,14 +261,13 @@ def register_dwt_pyramid(
     _check_inputs(fixed, moving)
     fixed_bands = dwt2(fixed)
     moving_bands = dwt2(moving)
-    pyrs_f = {n: build_pyramid(getattr(fixed_bands, n), config.pyramid_levels)
-              for n in _BAND_ORDER}
-    pyrs_m = {n: build_pyramid(getattr(moving_bands, n), config.pyramid_levels)
-              for n in _BAND_ORDER}
-    num_levels = min(len(p) for p in list(pyrs_f.values()) + list(pyrs_m.values()))
+    pyrs_f = [build_pyramid(p, config.pyramid_levels) for p in fixed_bands.planes]
+    pyrs_m = [build_pyramid(p, config.pyramid_levels) for p in moving_bands.planes]
+    num_levels = min(len(p) for p in pyrs_f + pyrs_m)
+    n = _objective_bands(config)
     objectives = [
-        _band_objective(fixed_bands, moving_bands, config,
-                        level_pyrs=(pyrs_f, pyrs_m), level=i)
+        _stack_objective([p.levels[i] for p in pyrs_f[:n]],
+                         [p.levels[i] for p in pyrs_m[:n]], config.metric)
         for i in range(num_levels)
     ]
     sub_params, traces = _coarse_to_fine(objectives, _subband_config(config))

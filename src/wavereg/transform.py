@@ -44,8 +44,9 @@ IDENTITY = AffineParams()
 
 
 def image_center(image: np.ndarray) -> tuple[float, float]:
-    """Center pixel (x_t, y_t) with pixel centers at integer coordinates."""
-    height, width = np.asarray(image).shape[:2]
+    """Center pixel (x_t, y_t) of an (H, W) image or a (k, H, W) stack, with
+    pixel centers at integer coordinates."""
+    height, width = np.asarray(image).shape[-2:]
     return ((width - 1) / 2.0, (height - 1) / 2.0)
 
 
@@ -128,24 +129,36 @@ def warp(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resample the moving image on its own grid under ``params``.
 
-    Returns the warped image and a validity mask that is set only where
-    the source coordinate lies fully inside the moving image's bilinear
-    support; everywhere else the output takes ``fill``.
+    ``moving`` is one (H, W) plane or a (k, H, W) stack of planes that
+    share a grid. Returns the warped plane or stack, in the input's shape,
+    and one (H, W) validity mask that is set only where the source
+    coordinate lies fully inside the bilinear support; everywhere else the
+    output takes ``fill``. The source coordinates and the mask are computed
+    once, so a stack costs one coordinate pass plus one resampling per
+    plane, and each plane equals its own 2-D ``warp`` bit for bit.
     """
     moving = np.asarray(moving, dtype=np.float64)
-    height, width = moving.shape
+    height, width = moving.shape[-2:]
     if center is None:
         center = image_center(moving)
     m = center_adjusted(params, center)
-    ys, xs = np.mgrid[0:height, 0:width]
-    src_x = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
-    src_y = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
+    xs = np.arange(width)
+    ys = np.arange(height)[:, None]
+    coords = np.empty((2, height, width))
+    src_y, src_x = coords
+    np.add(m[0, 0] * xs + m[0, 1] * ys, m[0, 2], out=src_x)
+    np.add(m[1, 0] * xs + m[1, 1] * ys, m[1, 2], out=src_y)
     mask = (
         (src_x >= 0.0) & (src_x <= width - 1.0)
         & (src_y >= 0.0) & (src_y <= height - 1.0)
     )
-    out = map_coordinates(moving, [src_y, src_x], order=1, mode="constant", cval=fill)
-    out[~mask] = fill
+    outside = ~mask
+    out = np.empty(moving.shape)
+    for plane, warped in zip(moving.reshape(-1, height, width),
+                             out.reshape(-1, height, width)):
+        map_coordinates(plane, coords, output=warped, order=1,
+                        mode="constant", cval=fill)
+        warped[outside] = fill
     return out, mask
 
 

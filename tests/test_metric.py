@@ -11,6 +11,7 @@ from wavereg import (
     mi_between,
     mutual_information,
 )
+from wavereg.metric import _CHUNK
 
 
 def _diag_hist(n):
@@ -117,23 +118,80 @@ def test_mi_self_is_entropy():
     assert mi_between(img, img, mask) == pytest.approx(entropy, abs=1e-9)
 
 
-def test_sampled_histogram_deterministic():
-    rng = np.random.default_rng(13)
-    a = rng.uniform(0, 255, (64, 64))
-    b = rng.uniform(0, 255, (64, 64))
-    mask = np.ones((64, 64), bool)
-    cfg = MetricConfig(use_all_pixels=False, num_spatial_samples=500, sample_seed=3)
-    h1 = joint_histogram(a, b, mask, cfg)
-    h2 = joint_histogram(a, b, mask, cfg)
-    assert h1.total == 500.0
-    assert np.array_equal(h1.counts, h2.counts)
+def _random_samples(rng, kind, n, bins):
+    """One of the value sets the binning must agree with ``histogram2d`` on."""
+    if kind == "magnitude":  # 1e-8 .. 1e8, signed
+        scale = 10.0 ** rng.uniform(-8, 8)
+        return rng.uniform(0, 1, n) * scale, rng.normal(size=n) * scale
+    if kind == "offset":  # tiny range on a huge value
+        return 1e6 + rng.uniform(0, 1, n), -3e5 + rng.uniform(0, 1, n)
+    if kind == "integer":
+        return (rng.integers(0, 256, n).astype(float),
+                rng.integers(0, 65536, n).astype(float))
+    if kind == "on_edges":  # every sample on a linspace edge, both ends present
+        out = []
+        for _ in range(2):
+            lo, hi = np.sort(rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3))
+            edges = np.linspace(lo, hi, bins + 1)
+            v = rng.choice(edges, n)
+            v[:2] = lo, hi
+            out.append(v)
+        return tuple(out)
+    # "ulp_range": a range of 1 to 40 ULPs, where linspace repeats edges and
+    # the arithmetic index can be several bins off
+    out = []
+    for _ in range(2):
+        lo = rng.uniform(-1e3, 1e3)
+        hi = lo + int(rng.integers(1, 41)) * np.spacing(abs(lo))
+        grid = np.concatenate([np.linspace(lo, hi, bins + 1),
+                               np.linspace(lo, hi, int(rng.integers(2, 42)))])
+        v = rng.choice(grid, n)
+        v[:2] = lo, hi
+        out.append(v)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "seed, kind", enumerate(["magnitude", "offset", "integer", "on_edges", "ulp_range"]))
+def test_binning_matches_histogram2d(seed, kind):
+    rng = np.random.default_rng(seed)
+    for trial in range(300):
+        if trial < 20:
+            n = 2
+        elif trial == 20:
+            n = 2 * _CHUNK + 3  # several binning passes, the last one partial
+        else:
+            n = int(rng.integers(2, 500))
+        bins = 2 + trial % 59  # 2 .. 60
+        f, m = _random_samples(rng, kind, n, bins)
+        if f.min() == f.max() or m.min() == m.max():
+            continue  # the degenerate path never bins
+        h = joint_histogram(f[None], m[None], np.ones((1, n), bool),
+                            MetricConfig(histogram_bins=bins))
+        oracle, _, _ = np.histogram2d(
+            f, m, bins=bins, range=[[f.min(), f.max()], [m.min(), m.max()]])
+        assert h.counts.dtype == oracle.dtype
+        assert np.array_equal(h.counts, oracle), (kind, trial, n, bins)
+        assert h.total == n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_range_raises(bad):
+    img = np.arange(16.0).reshape(4, 4)
+    other = img.copy()
+    other[1, 2] = bad
+    mask = np.ones((4, 4), bool)
+    with pytest.raises(ValueError, match="non-finite"):
+        joint_histogram(img, other, mask)
+    with pytest.raises(ValueError, match="non-finite"):
+        joint_histogram(other, img, mask)
+    mask[1, 2] = False
+    assert joint_histogram(img, other, mask).total == 15.0
 
 
 def test_metric_config_validation():
     with pytest.raises(ValueError):
         MetricConfig(histogram_bins=1).validate()
-    with pytest.raises(ValueError):
-        MetricConfig(use_all_pixels=False, num_spatial_samples=10).validate()
 
 
 def test_cc_canonical_cases():

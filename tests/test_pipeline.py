@@ -192,6 +192,25 @@ def test_too_small_images_rejected():
         register(img, img, _config("pyramid"))
 
 
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+def test_shape_mismatch_rejected(method):
+    fixed = _phantom()
+    with pytest.raises(ValueError, match="differ in shape"):
+        register(fixed, fixed[:, :48], _config(method))
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_pixels_rejected(method, bad):
+    fixed = _phantom()
+    broken = fixed.copy()
+    broken[10, 20] = bad
+    with pytest.raises(ValueError, match="moving image has non-finite"):
+        register(fixed, broken, _config(method))
+    with pytest.raises(ValueError, match="fixed image has non-finite"):
+        register(broken, fixed, _config(method))
+
+
 def test_lost_overlap_raises():
     fixed = _phantom()
     cfg = _config("pyramid")

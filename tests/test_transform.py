@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from wavereg import (
     AffineParams,
@@ -106,6 +107,7 @@ def test_scale_params_between_levels():
 def test_image_center():
     assert image_center(np.zeros((21, 31))) == (15.0, 10.0)
     assert image_center(np.zeros((2, 2))) == (0.5, 0.5)
+    assert image_center(np.zeros((4, 21, 31))) == (15.0, 10.0)
 
 
 def test_warp_identity():
@@ -145,6 +147,39 @@ def test_warp_fill_value():
     img = np.ones((16, 16))
     out, mask = warp(img, AffineParams(tx=4), fill=-1.0)
     assert np.all(out[~mask] == -1.0)
+
+
+def _reference_warp(moving, params, center, fill):
+    """Single-plane warp on a full ``mgrid``, kept as the oracle."""
+    height, width = moving.shape
+    m = center_adjusted(params, center)
+    ys, xs = np.mgrid[0:height, 0:width]
+    src_x = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
+    src_y = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
+    mask = (src_x >= 0.0) & (src_x <= width - 1.0) & (src_y >= 0.0) & (src_y <= height - 1.0)
+    out = map_coordinates(moving, [src_y, src_x], order=1, mode="constant", cval=fill)
+    out[~mask] = fill
+    return out, mask
+
+
+@pytest.mark.parametrize("params, fill", [
+    (AffineParams(tx=2.5, ty=-1.25, theta=0.3), 0.0),
+    (AffineParams(theta=-0.2, k=0.15, sx=1.1, sy=0.9), -3.5),
+    (AffineParams(tx=30.0, k=-0.4), 7.0),
+])
+def test_warp_stack_equals_separate_planes(params, fill):
+    stack = np.random.default_rng(8).normal(size=(4, 23, 31))
+    for center in (None, (10.0, 12.5)):
+        warped, mask = warp(stack, params, center=center, fill=fill)
+        assert warped.shape == stack.shape
+        assert mask.shape == stack.shape[1:]
+        assert not mask.all()  # some output pixels take the fill
+        for plane, got in zip(stack, warped):
+            alone, alone_mask = warp(plane, params, center=center, fill=fill)
+            ref, ref_mask = _reference_warp(plane, params, center or image_center(plane), fill)
+            assert np.array_equal(got, alone) and np.array_equal(got, ref)
+            assert np.array_equal(mask, alone_mask) and np.array_equal(mask, ref_mask)
+            assert np.all(got[~mask] == fill)
 
 
 def test_params_json_roundtrip(tmp_path):
