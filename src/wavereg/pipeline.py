@@ -84,6 +84,8 @@ def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
     for name, image in (("fixed", fixed), ("moving", moving)):
         if not np.isfinite(image).all():
             raise ValueError(f"{name} image has non-finite pixels (NaN or Inf)")
+        if image.min() == image.max():
+            raise ValueError(f"{name} image is constant; it has no structure to register")
 
 
 # candidates keeping less than this fraction of a level in overlap are

@@ -12,7 +12,7 @@ and separable, and gives every parent node equal total weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -25,7 +25,6 @@ MIN_LEVEL_SIZE = 8
 @dataclass(frozen=True)
 class GaussianPyramid:
     levels: list[np.ndarray]
-    kernel: np.ndarray = field(default_factory=lambda: GENERATING_KERNEL.copy())
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -65,4 +64,4 @@ def build_pyramid(
             truncated = True
             break
         levels.append(reduce_image(levels[-1], kernel))
-    return GaussianPyramid(levels=levels, kernel=np.asarray(kernel, dtype=np.float64), truncated=truncated)
+    return GaussianPyramid(levels=levels, truncated=truncated)

@@ -11,15 +11,25 @@ Parameter conventions (reported, not internally flipped):
 as the map from output (fixed-grid) coordinates to source coordinates in
 the moving image and resamples bilinearly, which makes the sign
 conventions above hold for the rendered image.
+
+``warp`` is a NumPy gather kernel. It finds each masked pixel's four
+source corners and weights once for all planes of a stack, gathers the
+corner values with one ``take`` and sums the weighted terms with SciPy's
+own order-1 weights and summation order, so its bytes equal
+``scipy.ndimage.map_coordinates(order=1, mode="constant")`` (the test
+oracle) in about half the time per pixel. Rows are resampled in passes of
+about 4,096 pixels, and the largest temporary is reused across calls, so
+a 128x128 or 256x256 call does not page-fault fresh heap memory.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 
 @dataclass(frozen=True)
@@ -38,9 +48,6 @@ class AffineParams:
     def from_vector(v) -> "AffineParams":
         tx, ty, theta, sx, sy, k = (float(x) for x in v)
         return AffineParams(tx=tx, ty=ty, theta=theta, sx=sx, sy=sy, k=k)
-
-
-IDENTITY = AffineParams()
 
 
 def image_center(image: np.ndarray) -> tuple[float, float]:
@@ -74,11 +81,12 @@ def center_adjusted(params: AffineParams, center: tuple[float, float]) -> np.nda
     """Matrix applying the linear part about ``center`` plus the translation."""
     a = _linear_part(params)
     cx, cy = center
-    c = np.array([cx, cy])
-    m = np.eye(3)
-    m[:2, :2] = a
-    m[:2, 2] = np.array([params.tx, params.ty]) + c - a @ c
-    return m
+    ax, ay = a @ np.array([cx, cy])
+    return np.array([
+        [a[0, 0], a[0, 1], params.tx + cx - ax],
+        [a[1, 0], a[1, 1], params.ty + cy - ay],
+        [0.0, 0.0, 1.0],
+    ])
 
 
 def invert_matrix(m: np.ndarray) -> np.ndarray:
@@ -121,6 +129,36 @@ def scale_params_between_levels(params: AffineParams, factor: float) -> AffinePa
     return replace(params, tx=params.tx * factor, ty=params.ty * factor)
 
 
+# pixels per resampling pass: a pass's temporaries stay small enough to be
+# reused from the heap's free lists instead of page-faulted in every call
+_PASS = 4096
+
+_local = threading.local()
+
+
+def _gather_buffer(size: int) -> np.ndarray:
+    """A float64 buffer of at least ``size`` values, kept per thread, that
+    takes each pass's corner values. It is the largest temporary of a
+    ``warp`` call (four values per plane and pixel), so reusing it keeps a
+    call from allocating, and page-faulting, that much memory."""
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _local.buf = np.empty(size)
+    return buf
+
+
+@lru_cache(maxsize=16)
+def _grid(height: int, width: int):
+    """Constants of ``warp`` for one grid shape: the pixel columns and rows,
+    the mask's upper bounds and the flat offsets of the four corners."""
+    constants = (np.arange(width), np.arange(height)[:, None],
+                 np.array([height - 1.0, width - 1.0])[:, None, None],
+                 np.array([[[0], [1]], [[width], [width + 1]]]))
+    for array in constants:  # shared by every call on this shape
+        array.flags.writeable = False
+    return constants
+
+
 def warp(
     moving: np.ndarray,
     params: AffineParams,
@@ -133,33 +171,67 @@ def warp(
     share a grid. Returns the warped plane or stack, in the input's shape,
     and one (H, W) validity mask that is set only where the source
     coordinate lies fully inside the bilinear support; everywhere else the
-    output takes ``fill``. The source coordinates and the mask are computed
-    once, so a stack costs one coordinate pass plus one resampling per
-    plane, and each plane equals its own 2-D ``warp`` bit for bit.
+    output takes ``fill``. The source coordinates, the mask, the corner
+    indices and the weights are computed once for all planes, and each
+    plane equals its own 2-D ``warp`` bit for bit.
+
+    The result equals ``scipy.ndimage.map_coordinates(order=1,
+    mode="constant")`` byte for byte. The masked pixels are resampled one
+    block of rows at a time, in passes of at most ``_PASS`` pixels (or one
+    row, if a row is longer). A pixel's weights follow SciPy's order-1
+    rule: with f the fraction of a source coordinate, w0 = 1 - f and
+    w1 = 1 - w0 (not always equal to f). Each corner term is
+    (v * wy) * wx, and the four terms are summed in SciPy's order; adding
+    0.0 last matches SciPy's sum starting from 0.0, which turns a -0.0
+    total into +0.0. On the last column or row the second corner lies
+    outside the plane, where its weight is exactly 0: its index reads the
+    next row's first pixel, or is clipped to the last pixel. That is why
+    the planes must be finite: 0 * NaN is NaN, where SciPy adds 0.
     """
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
     if center is None:
         center = image_center(moving)
-    m = center_adjusted(params, center)
-    xs = np.arange(width)
-    ys = np.arange(height)[:, None]
-    coords = np.empty((2, height, width))
-    src_y, src_x = coords
-    np.add(m[0, 0] * xs + m[0, 1] * ys, m[0, 2], out=src_x)
-    np.add(m[1, 0] * xs + m[1, 1] * ys, m[1, 2], out=src_y)
-    mask = (
-        (src_x >= 0.0) & (src_x <= width - 1.0)
-        & (src_y >= 0.0) & (src_y <= height - 1.0)
-    )
-    outside = ~mask
-    out = np.empty(moving.shape)
-    for plane, warped in zip(moving.reshape(-1, height, width),
-                             out.reshape(-1, height, width)):
-        map_coordinates(plane, coords, output=warped, order=1,
-                        mode="constant", cval=fill)
-        warped[outside] = fill
-    return out, mask
+    m = center_adjusted(params, center)[1::-1, :, None, None]  # rows: y, x
+    xs, ys, upper, corners = _grid(height, width)
+    planes = moving.reshape(-1, height * width)
+    k = len(planes)
+    out = np.full(planes.shape, fill)
+    mask = np.empty((height, width), dtype=bool)
+    cols = m[:, 0] * xs
+    rows = max(1, _PASS // width)
+    gathered = _gather_buffer(k * 4 * min(rows, height) * width)
+    for top in range(0, height, rows):
+        coords = cols + m[:, 1] * ys[top:top + rows]
+        coords += m[:, 2]
+        inside = coords >= 0.0
+        inside &= coords <= upper
+        block = mask[top:top + rows]
+        np.logical_and(inside[0], inside[1], out=block)
+        pixels = block.ravel().nonzero()[0]
+        n = pixels.size
+        # w[0] and w[1] hold (wy0, wx0) and (wy1, wx1); "clip" lets take
+        # write into its out= argument without a buffer copy
+        w = np.empty((2, 2, n))
+        coords.reshape(2, -1).take(pixels, axis=1, out=w[1], mode="clip")
+        corner = w[1].astype(np.intp)  # truncation is floor: coords >= 0
+        w[1] -= corner
+        np.subtract(1.0, w[1], out=w[0])
+        np.subtract(1.0, w[0], out=w[1])
+        index = corner[0] * width
+        index += corner[1]
+        # v[p, a, b] is plane p at source corner (y + a, x + b)
+        v = gathered[:k * 4 * n].reshape(k, 2, 2, n)
+        planes.take(index + corners, axis=1, out=v, mode="clip")
+        v *= w[:, 0, None]
+        v *= w[:, 1]
+        acc = v[:, 0, 0]
+        acc += v[:, 0, 1]
+        acc += v[:, 1, 0]
+        acc += v[:, 1, 1]
+        acc += 0.0
+        out[:, top * width:(top + rows) * width][:, pixels] = acc
+    return out.reshape(moving.shape), mask
 
 
 def params_to_dict(params: AffineParams, center: tuple[float, float]) -> dict:

@@ -274,3 +274,13 @@ def test_evaluate_shape_mismatch():
     r = register(fixed, fixed, cfg)
     with pytest.raises(ValueError, match="dimension mismatch"):
         evaluate(np.zeros((32, 32)), r, MetricConfig())
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("which", ["fixed", "moving"])
+def test_constant_image_rejected(method, which):
+    image = _phantom()
+    flat = np.full_like(image, 0.5)
+    pair = (flat, image) if which == "fixed" else (image, flat)
+    with pytest.raises(ValueError, match=f"{which} image is constant"):
+        register(*pair, _config(method))

@@ -1,6 +1,8 @@
 """Affine parameterization, matrix composition and warping tests."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -177,9 +179,107 @@ def test_warp_stack_equals_separate_planes(params, fill):
         for plane, got in zip(stack, warped):
             alone, alone_mask = warp(plane, params, center=center, fill=fill)
             ref, ref_mask = _reference_warp(plane, params, center or image_center(plane), fill)
-            assert np.array_equal(got, alone) and np.array_equal(got, ref)
+            assert got.tobytes() == alone.tobytes() == ref.tobytes()
             assert np.array_equal(mask, alone_mask) and np.array_equal(mask, ref_mask)
             assert np.all(got[~mask] == fill)
+
+
+def _warp_cases(rng):
+    """(stack, params, center, fill) cases for the byte-exact warp test."""
+    shapes = [(2, 2), (2, 3), (3, 2), (1, 5), (5, 1), (3, 4200), (700, 20)]
+    shapes += [tuple(int(n) for n in rng.integers(2, 91, size=2)) for _ in range(120)]
+    for i, (height, width) in enumerate(shapes):
+        k = int(rng.integers(1, 5))
+        kind = i % 5
+        if kind == 0:
+            stack = rng.normal(size=(k, height, width))
+        elif kind == 1:  # signed zeros (-0.0 on odd cases) and one negative pixel
+            stack = np.full((k, height, width), -0.0 if i % 2 else 0.0)
+            stack[:, rng.integers(height), rng.integers(width)] = -1.0
+        elif kind == 2:
+            stack = rng.integers(-5, 6, size=(k, height, width)).astype(np.float64)
+        else:
+            stack = rng.normal(size=(k, height, width)) * (1e-6 if kind == 3 else 1e6)
+        center = None if i % 3 else (rng.uniform(0, width), rng.uniform(0, height))
+        move = i % 7
+        if move == 0:  # integer shifts land exactly on the last row or column
+            params = AffineParams(tx=float(rng.integers(-2, 3)), ty=float(rng.integers(-2, 3)))
+        elif move == 1:  # half-pixel shift on one axis, integer on the other
+            params = AffineParams(tx=rng.integers(-4, 5) / 2, ty=float(rng.integers(-2, 3)))
+        elif move in (2, 3):
+            params = AffineParams(
+                tx=rng.uniform(-3, 3), ty=rng.uniform(-3, 3),
+                theta=rng.uniform(-0.6, 0.6), sx=rng.uniform(0.7, 1.4),
+                sy=rng.uniform(0.7, 1.4), k=rng.uniform(-0.3, 0.3),
+            )
+        elif move == 4:  # quarter turns put coordinates a rounding error off the grid
+            params = AffineParams(theta=math.pi / 2 * int(rng.integers(1, 4)))
+        else:
+            # a strong shrink about the origin puts most coordinates in
+            # [0, 1), where 1 - (1 - f) differs from the fraction f
+            params = AffineParams(tx=rng.uniform(0, 0.5), ty=rng.uniform(0, 0.5),
+                                  sx=rng.uniform(0.005, 0.05), sy=rng.uniform(0.005, 0.05))
+            center = (0.0, 0.0)
+        yield stack, params, center, (0.0, 0.7, -2.0)[i % 3]
+    yield rng.normal(size=(2, 9, 9)), AffineParams(tx=1000.0), None, 0.5  # empty mask
+
+
+def test_warp_bytes_equal_map_coordinates():
+    """``warp`` gives the same bytes as SciPy's order-1 ``map_coordinates``,
+    signed zeros included, on every plane of every case."""
+    rng = np.random.default_rng(2024)
+    resampled = empty = 0
+    for stack, params, center, fill in _warp_cases(rng):
+        planes = stack if len(stack) > 1 else stack[0]
+        warped, mask = warp(planes, params, center=center, fill=fill)
+        assert warped.shape == planes.shape
+        resampled += len(stack) * np.count_nonzero(mask)
+        empty += not mask.any()
+        for plane, got in zip(stack, warped.reshape(stack.shape)):
+            ref, ref_mask = _reference_warp(plane, params, center or image_center(plane), fill)
+            assert got.tobytes() == ref.tobytes()
+            assert np.array_equal(mask, ref_mask)
+    assert resampled > 400_000 and empty >= 1
+
+
+def test_warp_threads_keep_their_own_buffers():
+    """Each thread reuses its own corner buffer, so concurrent calls on
+    stacks of different sizes give the same bytes as calls made alone."""
+    rng = np.random.default_rng(3)
+    jobs = [(rng.normal(size=(k, 40 + 7 * k, 90)), AffineParams(tx=0.3 * k, theta=0.05 * k))
+            for k in range(1, 7)]
+    expected = [warp(stack, params)[0].tobytes() for stack, params in jobs]
+
+    def run(i):
+        stack, params = jobs[i]
+        return all(warp(stack, params)[0].tobytes() == expected[i] for _ in range(30))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(run, i) for i in range(len(jobs))]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_center_adjusted_bytes_equal_matrix_formula():
+    """``center_adjusted`` gives the same bytes as A (v - c) + c + t built
+    with matrix products, so warped coordinates do not move."""
+    rng = np.random.default_rng(11)
+    for i in range(500):
+        p = AffineParams(
+            tx=rng.normal() * 20, ty=rng.normal() * 20, theta=rng.uniform(-3, 3),
+            sx=rng.uniform(0.3, 3), sy=rng.uniform(0.3, 3), k=rng.uniform(-0.5, 0.5),
+        )
+        center = (int(rng.integers(0, 300)), 7) if i % 5 == 0 else tuple(rng.uniform(0, 300, 2))
+        a = compose_matrix(p)[:2, :2]
+        c = np.array(center)
+        ref = np.eye(3)
+        ref[:2, :2] = a
+        ref[:2, 2] = np.array([p.tx, p.ty]) + c - a @ c
+        assert center_adjusted(p, center).tobytes() == ref.tobytes()
 
 
 def test_params_json_roundtrip(tmp_path):
