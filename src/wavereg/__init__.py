@@ -16,11 +16,8 @@ from .pipeline import (
     RegistrationResult,
     evaluate,
     register,
-    register_dwt_pyramid,
-    register_pyramid,
-    register_wavelet,
 )
-from .pyramid import GaussianPyramid, build_pyramid, reduce_image
+from .pyramid import build_pyramid, reduce_image
 from .transform import (
     AffineParams,
     center_adjusted,
@@ -35,7 +32,6 @@ from .wavelet import SubBands, dwt2, idwt2
 
 __all__ = [
     "AffineParams",
-    "GaussianPyramid",
     "JointHistogram",
     "MetricConfig",
     "OptimizerConfig",
@@ -62,9 +58,6 @@ __all__ = [
     "overlay_diff",
     "reduce_image",
     "register",
-    "register_dwt_pyramid",
-    "register_pyramid",
-    "register_wavelet",
     "remap_intensity",
     "save_pgm",
     "save_ppm",

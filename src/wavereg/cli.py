@@ -118,7 +118,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _write_result(result, fixed, out_dir, metric_cfg) -> None:
+def _write_result(result, fixed, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_pgm(result.registered, os.path.join(out_dir, "registered.pgm"))
     save_pgm(result.mask.astype(np.float64) * 255.0,
@@ -146,7 +146,7 @@ def _cmd_register(args) -> int:
     moving = load_pgm(args.moving)
     config = _make_config(args, METHOD_ALIASES[args.method])
     result = register(fixed, moving, config)
-    _write_result(result, fixed, args.out, config.metric)
+    _write_result(result, fixed, args.out)
     return 0
 
 

@@ -1,17 +1,21 @@
-"""The three registration strategies and their shared evaluation.
+"""One coarse-to-fine registration loop for the three methods.
 
-``register_pyramid`` is the spatial-domain baseline: coarse-to-fine MI
-maximization over a Gaussian pyramid. ``register_wavelet`` optimizes a
-single shared transform in Haar sub-band coordinates at one resolution.
-``register_dwt_pyramid`` combines both: Gaussian pyramids are built on
-each of the four sub-bands and one shared transform is refined coarse to
-fine, then the warped sub-bands are inverse transformed into the
-registered image.
+Every method is the same loop: split each image into planes, build a
+Gaussian pyramid on each plane, maximize the summed plane-pair MI under
+one shared transform from the coarsest level to the finest, then map the
+result back to the full-resolution image. The methods differ only in the
+planes and the number of levels:
 
-A single transform is shared across the four sub-bands (the sum of the
-band-pair MI values is the objective by default) because four independent
-band transforms could not be recombined into one coherent image by the
-inverse DWT.
+- ``pyramid``: the image itself, ``pyramid_levels`` levels (the
+  spatial-domain baseline);
+- ``wavelet``: the Haar sub-bands, one level;
+- ``dwt_pyramid``: the Haar sub-bands, ``pyramid_levels`` levels (the
+  proposed method).
+
+The sub-band methods optimize in half-resolution coordinates and inverse
+transform the warped sub-bands into the registered image. One transform is
+shared across the sub-bands because independent band transforms could not
+be recombined into one coherent image by the inverse DWT.
 """
 
 from __future__ import annotations
@@ -58,6 +62,8 @@ class RegistrationConfig:
             raise ValueError(f"unknown subband objective {self.subband_objective!r}")
         if len(self.parameter_mask) != 6:
             raise ValueError("parameter_mask must have 6 flags")
+        self.metric.validate()
+        self.optimizer.validate()
 
 
 @dataclass
@@ -159,46 +165,6 @@ def _reconstruct_from_bands(
     return registered, full_mask
 
 
-def _finalize(
-    fixed: np.ndarray,
-    registered: np.ndarray,
-    mask: np.ndarray,
-    params: AffineParams,
-    traces: list[OptimizerTrace],
-    method: str,
-    metric_cfg: MetricConfig,
-) -> RegistrationResult:
-    if not mask.any():
-        raise RegistrationError("registration lost overlap")
-    final_mi = mi_between(fixed, registered, mask, metric_cfg)
-    cc = correlation_coefficient(registered, fixed, mask)
-    max_mi = max(t.best_value for t in traces) if traces else final_mi
-    return RegistrationResult(
-        params=params, registered=registered, mask=mask,
-        max_mi_bits=max_mi, final_mi_bits=final_mi, cc=cc,
-        traces=traces, method=method,
-    )
-
-
-def register_pyramid(
-    fixed: np.ndarray, moving: np.ndarray, config: RegistrationConfig
-) -> RegistrationResult:
-    """Baseline: spatial-domain MI registration over a Gaussian pyramid."""
-    config.validate()
-    _check_inputs(fixed, moving)
-    pyr_f = build_pyramid(fixed, config.pyramid_levels)
-    pyr_m = build_pyramid(moving, config.pyramid_levels)
-    num_levels = min(len(pyr_f), len(pyr_m))
-
-    objectives = [
-        _stack_objective([pyr_f.levels[i]], [pyr_m.levels[i]], config.metric)
-        for i in range(num_levels)
-    ]
-    params, traces = _coarse_to_fine(objectives, config)
-    registered, mask = warp(moving, params)
-    return _finalize(fixed, registered, mask, params, traces, "pyramid", config.metric)
-
-
 def _stack_objective(fixed_planes, moving_planes, metric_cfg: MetricConfig):
     """Objective summing the MI of each plane pair, in the given order, under
     one shared transform; -inf when the overlap is lost or any pair fails.
@@ -221,78 +187,56 @@ def _stack_objective(fixed_planes, moving_planes, metric_cfg: MetricConfig):
     return objective
 
 
-def _objective_bands(config: RegistrationConfig) -> int:
-    """How many sub-bands, in ``SubBands.planes`` order, the objective sums."""
-    return 1 if config.subband_objective == "ll_only" else 4
-
-
-def _subband_config(config: RegistrationConfig) -> RegistrationConfig:
-    """Initial parameters are given in full-resolution coordinates; the
-    sub-band optimizations run at half resolution."""
-    return replace(
-        config,
-        initial_params=scale_params_between_levels(config.initial_params, 0.5),
-    )
-
-
-def register_wavelet(
-    fixed: np.ndarray, moving: np.ndarray, config: RegistrationConfig
-) -> RegistrationResult:
-    """Baseline: single-resolution registration in Haar sub-band coordinates."""
-    config.validate()
-    _check_inputs(fixed, moving)
-    fixed_bands = dwt2(fixed)
-    moving_bands = dwt2(moving)
-    n = _objective_bands(config)
-    objectives = [_stack_objective(fixed_bands.planes[:n], moving_bands.planes[:n],
-                                   config.metric)]
-    sub_params, traces = _coarse_to_fine(objectives, _subband_config(config))
-    registered, mask = _reconstruct_from_bands(moving_bands, sub_params)
-    full_params = scale_params_between_levels(sub_params, 2.0)
-    return _finalize(
-        fixed, registered, mask, full_params, traces, "wavelet", config.metric
-    )
-
-
-def register_dwt_pyramid(
-    fixed: np.ndarray, moving: np.ndarray, config: RegistrationConfig
-) -> RegistrationResult:
-    """Proposed method: Gaussian pyramids on the four Haar sub-bands, one
-    shared transform refined coarse to fine, then inverse DWT."""
-    config.validate()
-    _check_inputs(fixed, moving)
-    fixed_bands = dwt2(fixed)
-    moving_bands = dwt2(moving)
-    pyrs_f = [build_pyramid(p, config.pyramid_levels) for p in fixed_bands.planes]
-    pyrs_m = [build_pyramid(p, config.pyramid_levels) for p in moving_bands.planes]
-    num_levels = min(len(p) for p in pyrs_f + pyrs_m)
-    n = _objective_bands(config)
-    objectives = [
-        _stack_objective([p.levels[i] for p in pyrs_f[:n]],
-                         [p.levels[i] for p in pyrs_m[:n]], config.metric)
-        for i in range(num_levels)
-    ]
-    sub_params, traces = _coarse_to_fine(objectives, _subband_config(config))
-    registered, mask = _reconstruct_from_bands(moving_bands, sub_params)
-    full_params = scale_params_between_levels(sub_params, 2.0)
-    return _finalize(
-        fixed, registered, mask, full_params, traces, "dwt_pyramid", config.metric
-    )
-
-
-_REGISTER_FNS = {
-    "pyramid": register_pyramid,
-    "wavelet": register_wavelet,
-    "dwt_pyramid": register_dwt_pyramid,
-}
+def _spatial_metrics(
+    fixed: np.ndarray, registered: np.ndarray, mask: np.ndarray,
+    metric_cfg: MetricConfig,
+) -> tuple[float, float]:
+    """MI (bits) and CC between the fixed and the registered image over mask."""
+    return (mi_between(fixed, registered, mask, metric_cfg),
+            correlation_coefficient(registered, fixed, mask))
 
 
 def register(
     fixed: np.ndarray, moving: np.ndarray, config: RegistrationConfig
 ) -> RegistrationResult:
-    """Dispatch on ``config.method``."""
+    """Register ``moving`` onto ``fixed`` with ``config.method``.
+
+    ``initial_params`` and the returned params are in full-resolution
+    coordinates; the sub-band methods halve them on the way in and double
+    them on the way out. ``ll_only`` keeps only the LL band's MI.
+    """
     config.validate()
-    return _REGISTER_FNS[config.method](fixed, moving, config)
+    _check_inputs(fixed, moving)
+    haar = config.method != "pyramid"
+    levels = 1 if config.method == "wavelet" else config.pyramid_levels
+    if haar:
+        fixed_bands, moving_bands = dwt2(fixed), dwt2(moving)
+        n = 1 if config.subband_objective == "ll_only" else 4
+        fixed_planes, moving_planes = fixed_bands.planes[:n], moving_bands.planes[:n]
+        run_config = replace(config, initial_params=scale_params_between_levels(
+            config.initial_params, 0.5))
+    else:
+        fixed_planes, moving_planes, run_config = [fixed], [moving], config
+    pyrs_f = [build_pyramid(p, levels) for p in fixed_planes]
+    pyrs_m = [build_pyramid(p, levels) for p in moving_planes]
+    num_levels = min(len(p) for p in pyrs_f + pyrs_m)
+    objectives = [
+        _stack_objective([p[i] for p in pyrs_f], [p[i] for p in pyrs_m],
+                         config.metric)
+        for i in range(num_levels)
+    ]
+    params, traces = _coarse_to_fine(objectives, run_config)
+    if haar:
+        registered, mask = _reconstruct_from_bands(moving_bands, params)
+        params = scale_params_between_levels(params, 2.0)
+    else:
+        registered, mask = warp(moving, params)
+    final_mi, cc = _spatial_metrics(fixed, registered, mask, config.metric)
+    return RegistrationResult(
+        params=params, registered=registered, mask=mask,
+        max_mi_bits=max(t.best_value for t in traces), final_mi_bits=final_mi,
+        cc=cc, traces=traces, method=config.method,
+    )
 
 
 def evaluate(
@@ -301,8 +245,7 @@ def evaluate(
     """Recompute the spatial-domain metrics of a result; idempotent."""
     if fixed.shape != result.registered.shape:
         raise ValueError("dimension mismatch between fixed and registered image")
-    mi = mi_between(fixed, result.registered, result.mask, metric_cfg)
-    cc = correlation_coefficient(result.registered, fixed, result.mask)
+    mi, cc = _spatial_metrics(fixed, result.registered, result.mask, metric_cfg)
     return {
         "mi_bits": mi,
         "cc": cc,

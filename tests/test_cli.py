@@ -102,6 +102,17 @@ def test_register_unwritable_output_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_register_bad_bins_names_the_cause(tmp_path, capsys):
+    fx = tmp_path / "fx"
+    _synth(fx, seed=1)
+    rc = main([
+        "register", "--method", "dwt-pyramid", "--bins", "1",
+        str(fx / "fixed.pgm"), str(fx / "moving.pgm"), "-o", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    assert "histogram_bins must be >= 2" in capsys.readouterr().err
+
+
 def _make_pairs(tmp_path, n):
     root = tmp_path / "pairs"
     for i in range(n):

@@ -4,7 +4,10 @@ The heavy statistical recovery claims live in test_acceptance; here the
 runs are kept small (64x64, few seeds) and target plumbing correctness.
 """
 
+import hashlib
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +20,6 @@ from wavereg import (
     RegistrationError,
     evaluate,
     register,
-    register_wavelet,
     warp,
 )
 from wavereg.fixtures import FixtureSpec, generate_pair
@@ -101,7 +103,7 @@ def test_wavelet_reconstruction_error_bounded():
         optimizer=OptimizerConfig(max_iterations=0),
         initial_params=recovery,
     )
-    result = register_wavelet(fixed, moving, cfg)
+    result = register(fixed, moving, cfg)
     spatial, smask = warp(moving, recovery)
     inner = result.mask & smask
     inner[:4] = inner[-4:] = False
@@ -284,3 +286,75 @@ def test_constant_image_rejected(method, which):
     pair = (flat, image) if which == "fixed" else (image, flat)
     with pytest.raises(ValueError, match=f"{which} image is constant"):
         register(*pair, _config(method))
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("bins", [1, 0])
+def test_bad_histogram_bins_fails_fast(method, bins):
+    # the objective turns a ValueError into -inf, so only a check before
+    # the optimization can name the cause instead of "lost overlap"
+    fixed = _phantom()
+    cfg = _config(method)
+    cfg.metric = MetricConfig(histogram_bins=bins)
+    with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
+        register(fixed, fixed, cfg)
+
+
+def test_config_validation_covers_metric_and_optimizer():
+    with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
+        RegistrationConfig(metric=MetricConfig(histogram_bins=1)).validate()
+    with pytest.raises(ValueError, match="growth_factor must be > 1"):
+        RegistrationConfig(optimizer=OptimizerConfig(growth_factor=1.0)).validate()
+
+
+def _rotated_invert_pair():
+    fixed, moving, _ = generate_pair(
+        FixtureSpec(size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05),
+                    remap="invert", seed=5)
+    )
+    return fixed, moving
+
+
+@pytest.mark.parametrize("objective", ["sum_all_bands", "ll_only"])
+def test_wavelet_is_one_level_dwt_pyramid(objective):
+    fixed, moving = _rotated_invert_pair()
+    cfg = RegistrationConfig(
+        method="wavelet", subband_objective=objective,
+        optimizer=OptimizerConfig(seed=9, max_iterations=40),
+    )
+    a = register(fixed, moving, cfg)
+    b = register(fixed, moving, replace(cfg, method="dwt_pyramid", pyramid_levels=1))
+    assert a.params.as_vector().tobytes() == b.params.as_vector().tobytes()
+    assert a.registered.tobytes() == b.registered.tobytes()
+    assert a.mask.tobytes() == b.mask.tobytes()
+    assert a.final_mi_bits == b.final_mi_bits
+    assert a.max_mi_bits == b.max_mi_bits
+    assert a.cc == b.cc
+    assert len(a.traces) == len(b.traces) == 1
+    assert [r.value for r in a.traces[0].records] == [r.value for r in b.traces[0].records]
+    assert (a.method, b.method) == ("wavelet", "dwt_pyramid")
+
+
+GOLDEN_DIGESTS = {
+    "pyramid": "c30761a2bffb6a48861444d1cb0311a652efb525a3f4131c706d873b8c2a75bd",
+    "wavelet": "34a88fcc38bcbb230bb8758ac8afa25af900a5bf1399c1973aeacb9c228b50e0",
+    "dwt_pyramid": "c542b30bed11ef0b451eb86d194bd56f76bc52a700c0da3f09b9a3ca4c2cfb7e",
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(method):
+    """Results stay bit for bit what they were: SHA-256 of params,
+    registered image, mask and final MI, the recipe of
+    ``perfbench/checks.digest``. The digests were recorded with NumPy 2.4.6
+    and SciPy 1.17.1 and are tied to that build: another NumPy may round a
+    reduction differently and change them with no change in wavereg."""
+    fixed, moving = _rotated_invert_pair()
+    r = register(fixed, moving, RegistrationConfig(
+        method=method, optimizer=OptimizerConfig(seed=9, max_iterations=40)))
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(r.params.as_vector(), dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(r.registered, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(r.mask, dtype=bool).tobytes())
+    h.update(struct.pack("<d", r.final_mi_bits))
+    assert h.hexdigest() == GOLDEN_DIGESTS[method]

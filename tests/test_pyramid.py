@@ -35,20 +35,17 @@ def test_single_level_pyramid_is_input():
     img = np.random.default_rng(1).normal(size=(40, 40))
     pyr = build_pyramid(img, 1)
     assert len(pyr) == 1
-    assert np.array_equal(pyr.levels[0], img)
-    assert not pyr.truncated
+    assert np.array_equal(pyr[0], img)
 
 
 def test_three_level_sizes():
     pyr = build_pyramid(np.zeros((256, 256)), 3)
-    assert [lvl.shape for lvl in pyr.levels] == [(256, 256), (128, 128), (64, 64)]
-    assert not pyr.truncated
+    assert [lvl.shape for lvl in pyr] == [(256, 256), (128, 128), (64, 64)]
 
 
 def test_truncation_at_min_size():
-    pyr = build_pyramid(np.zeros((20, 20)), 3, min_size=8)
-    assert [lvl.shape for lvl in pyr.levels] == [(20, 20), (10, 10)]
-    assert pyr.truncated
+    pyr = build_pyramid(np.zeros((20, 20)), 3)
+    assert [lvl.shape for lvl in pyr] == [(20, 20), (10, 10)]
 
 
 def test_reduce_is_low_pass():
