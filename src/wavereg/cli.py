@@ -1,7 +1,8 @@
 """Command-line surface: fixture synthesis, registration, three-way
 comparison reports, and difference overlays.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 ``compare``
+wrote its report but some registrations failed (their rows say why).
 """
 
 from __future__ import annotations
@@ -35,11 +36,20 @@ METHOD_ALIASES = {
 }
 
 
+EXIT_CODES = ("exit codes: 0 success, 1 runtime failure, 2 usage error, "
+              "3 compare wrote report.csv but some registrations failed "
+              "(see its status column)")
+
+REPORT_FIELDS = ["id", "method", "max_mi_bits", "final_mi_bits", "cc",
+                 "mi_winner", "cc_winner", "status"]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavereg",
         description="Multimodal 2-D image registration with Haar sub-bands "
                     "and Gaussian pyramids.",
+        epilog=EXIT_CODES,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -71,7 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="sum_all_bands")
     p.add_argument("-o", "--out", required=True, help="output directory")
 
-    p = sub.add_parser("compare", help="run all three methods over a manifest")
+    p = sub.add_parser(
+        "compare", help="run all three methods over a manifest",
+        description="Run all three methods on every pair and write "
+                    "report.csv. A pair that cannot be read or a "
+                    "registration that fails gets rows with status "
+                    "'error: <message>' and empty metric cells; the other "
+                    "pairs still report.",
+        epilog=EXIT_CODES,
+    )
     p.add_argument("manifest",
                    help="CSV manifest (id,fixed_path,moving_path) or a "
                         "directory of fixture subdirectories")
@@ -185,36 +203,60 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
 
 
 def _winner_flags(values: dict[str, float]) -> dict[str, int]:
-    best = max(values.values())
+    best = max(values.values(), default=None)
     return {m: int(v == best) for m, v in values.items()}
 
 
-def compare_pairs(pairs, args):
-    """Run the three methods on every pair; returns report rows."""
-    rows = []
-    wins = {m: {"mi": 0, "cc": 0} for m in METHOD_ALIASES.values()}
-    for pair_id, fixed_path, moving_path in sorted(pairs):
+def _register_pair(fixed_path, moving_path, configs) -> dict:
+    """Each method's result on one pair, or the ``error: ...`` status that
+    stopped it."""
+    try:
         fixed = load_pgm(fixed_path)
         moving = load_pgm(moving_path)
-        results = {}
-        for method in METHOD_ALIASES.values():
-            config = _make_config(args, method)
-            results[method] = register(fixed, moving, config)
+    except (PnmError, OSError) as exc:
+        return {method: f"error: {exc}" for method in configs}
+    outcomes = {}
+    for method, config in configs.items():
+        try:
+            outcomes[method] = register(fixed, moving, config)
+        except (RegistrationError, ValueError) as exc:
+            outcomes[method] = f"error: {exc}"
+    return outcomes
+
+
+def compare_pairs(pairs, args):
+    """Run the three methods on every pair; returns report rows.
+
+    A pair that cannot be read, or a registration that fails, gets rows
+    whose ``status`` is ``error: <message>`` and whose metric cells are
+    empty; winners are picked among the methods that succeeded on the pair.
+    An invalid option fails the whole command before any registration.
+    """
+    configs = {m: _make_config(args, m) for m in METHOD_ALIASES.values()}
+    for config in configs.values():
+        config.validate()
+    rows = []
+    wins = {m: {"mi": 0, "cc": 0} for m in configs}
+    for pair_id, fixed_path, moving_path in sorted(pairs):
+        outcomes = _register_pair(fixed_path, moving_path, configs)
+        results = {m: r for m, r in outcomes.items() if not isinstance(r, str)}
         mi_flags = _winner_flags({m: r.final_mi_bits for m, r in results.items()})
         cc_flags = _winner_flags({m: r.cc for m, r in results.items()})
-        for method, result in results.items():
-            wins[method]["mi"] += mi_flags[method]
-            wins[method]["cc"] += cc_flags[method]
-            rows.append({
-                "id": pair_id,
-                "method": method,
-                "max_mi_bits": repr(result.max_mi_bits),
-                "final_mi_bits": repr(result.final_mi_bits),
-                "cc": repr(result.cc),
-                "mi_winner": mi_flags[method],
-                "cc_winner": cc_flags[method],
-            })
-    for method in METHOD_ALIASES.values():
+        for method, outcome in outcomes.items():
+            if isinstance(outcome, str):
+                row = {"max_mi_bits": "", "final_mi_bits": "", "cc": "",
+                       "mi_winner": 0, "cc_winner": 0, "status": outcome}
+            else:
+                wins[method]["mi"] += mi_flags[method]
+                wins[method]["cc"] += cc_flags[method]
+                row = {"max_mi_bits": repr(outcome.max_mi_bits),
+                       "final_mi_bits": repr(outcome.final_mi_bits),
+                       "cc": repr(outcome.cc),
+                       "mi_winner": mi_flags[method],
+                       "cc_winner": cc_flags[method],
+                       "status": "ok"}
+            rows.append({"id": pair_id, "method": method, **row})
+    for method in configs:
         rows.append({
             "id": "SUMMARY",
             "method": method,
@@ -223,6 +265,7 @@ def compare_pairs(pairs, args):
             "cc": "",
             "mi_winner": wins[method]["mi"],
             "cc_winner": wins[method]["cc"],
+            "status": "",
         })
     return rows
 
@@ -236,12 +279,14 @@ def _cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
     with open(report_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[
-            "id", "method", "max_mi_bits", "final_mi_bits", "cc",
-            "mi_winner", "cc_winner",
-        ])
+        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
+    failed = sum(r["status"].startswith("error") for r in rows)
+    if failed:
+        print(f"error: {failed} of {len(rows) - len(METHOD_ALIASES)} "
+              f"registrations failed; see {report_path}", file=sys.stderr)
+        return 3
     return 0
 
 

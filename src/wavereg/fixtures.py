@@ -5,6 +5,12 @@ intensities to fake a second modality, warps it with a known transform
 and adds seeded Gaussian noise. The transform that realigns the pair is
 the parameter-space inverse of the applied one; both are emitted in the
 sidecar so consumers never re-derive the convention.
+
+The ``noise_smoothed`` pattern is a difference of two Gaussian-smoothed
+noise fields. The smoothing is the pyramid's NumPy reflect correlation
+with SciPy's truncated Gaussian kernel, applied along axis 0 then axis 1,
+so it has the same bytes as ``scipy.ndimage.gaussian_filter`` (the test
+oracle) without importing SciPy.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .imageio import remap_intensity, save_pgm
+from .pyramid import _correlate_reflect
 from .transform import (
     AffineParams,
     invert_params,
@@ -83,12 +89,24 @@ def _render_checker(size: int) -> np.ndarray:
     return (64.0 + 160.0 * tiles) * envelope
 
 
+def _gaussian_smooth(image: np.ndarray, sigma: float) -> np.ndarray:
+    """``gaussian_filter(image, sigma)`` (``mode="reflect"``, truncated at
+    ``int(4 sigma + 0.5)``): the kernel is built as SciPy builds it,
+    normalized and reversed for correlation."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (phi / phi.sum())[::-1]
+    rows = _correlate_reflect(image, weights, axis=0)
+    return _correlate_reflect(rows, weights, axis=1)
+
+
 def _render_noise(size: int, seed: int) -> np.ndarray:
     # band-pass texture: fine-grained enough that heavily reduced pyramid
     # levels flatten it while Haar detail bands still carry alignment cues
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((size, size))
-    raw = gaussian_filter(noise, sigma=1.5) - gaussian_filter(noise, sigma=6.0)
+    raw = _gaussian_smooth(noise, 1.5) - _gaussian_smooth(noise, 6.0)
     lo, hi = raw.min(), raw.max()
     return INTENSITY_RANGE * (raw - lo) / (hi - lo)
 

@@ -8,16 +8,54 @@ product of the 1-D kernel and keeping every second row and column:
 Borders are handled by symmetric reflection. The kernel is the classical
 binomial [1, 4, 6, 4, 1] / 16, which is normalized, symmetric and
 separable, and gives every parent node equal total weight.
+
+The filter is plain NumPy (``_correlate_reflect``) and only computes the
+rows, then the columns, that a level keeps. Every value has the same
+bytes as ``scipy.ndimage.correlate1d(mode="reflect")`` along axis 0 then
+axis 1 followed by ``[::2, ::2]``; SciPy is the test oracle, not a
+dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 GENERATING_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 MIN_LEVEL_SIZE = 8
+
+
+def _correlate_reflect(x: np.ndarray, weights: np.ndarray, axis: int,
+                       step: int = 1) -> np.ndarray:
+    """Correlate a 2-D float64 array along ``axis`` with an odd, symmetric
+    kernel, extending the borders by reflection, and return positions
+    ``0, step, 2 * step, ...`` of that axis.
+
+    The summation follows SciPy's symmetric-kernel rule in
+    ``NI_Correlate1D``: ``out = x[i] * w[c]``, then for ``j = r .. 1`` (the
+    farthest pair first) ``out += (x[i - j] + x[i + j]) * w[c - j]``, so
+    every value has the same bytes as ``correlate1d(mode="reflect")``.
+    """
+    radius = len(weights) // 2
+    n = x.shape[axis]
+    # source index of positions -radius .. n - 1 + radius: half-sample
+    # symmetric extension (d c b a | a b c d | d c b a), periodic for any radius
+    k = np.arange(-radius, n + radius) % (2 * n)
+    padded = np.take(x, np.where(k < n, k, 2 * n - 1 - k), axis=axis)
+    stop = step * ((n - 1) // step) + 1
+
+    def tap(offset: int) -> np.ndarray:
+        # padded position ``offset`` is source position ``offset - radius``
+        taps = slice(offset, offset + stop, step)
+        return padded[taps] if axis == 0 else padded[:, taps]
+
+    out = tap(radius) * weights[radius]
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(tap(radius - j), tap(radius + j), out=pair)
+        pair *= weights[radius - j]
+        out += pair
+    return out
 
 
 def reduce_image(image: np.ndarray) -> np.ndarray:
@@ -25,9 +63,8 @@ def reduce_image(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2 or min(image.shape) < 2:
         raise ValueError("image too small to reduce (needs at least 2x2)")
-    smoothed = correlate1d(image, GENERATING_KERNEL, axis=0, mode="reflect")
-    smoothed = correlate1d(smoothed, GENERATING_KERNEL, axis=1, mode="reflect")
-    return smoothed[::2, ::2]
+    rows = _correlate_reflect(image, GENERATING_KERNEL, axis=0, step=2)
+    return _correlate_reflect(rows, GENERATING_KERNEL, axis=1, step=2)
 
 
 def build_pyramid(image: np.ndarray, num_levels: int) -> list[np.ndarray]:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavereg
 from wavereg import load_pgm
 from wavereg.cli import main
 from wavereg.imageio import save_pgm
@@ -175,6 +180,79 @@ def test_compare_bad_header_exit_1(tmp_path, capsys):
     manifest.write_text("a,b\n1,2\n")
     assert main(["compare", str(manifest), "-o", str(tmp_path / "o")]) == 1
     assert "manifest" in capsys.readouterr().err
+
+
+def _report(out):
+    with open(out / "report.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_compare_survives_failed_pairs(tmp_path, capsys):
+    root = _make_pairs(tmp_path, 1)
+    good = root / "p0"
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    shutil.copy(good / "fixed.pgm", flat / "fixed.pgm")
+    save_pgm(np.full((128, 128), 90.0), flat / "moving.pgm")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "id,fixed_path,moving_path\n"
+        "good,pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n"
+        "flat,flat/fixed.pgm,flat/moving.pgm\n"
+        "gone,flat/fixed.pgm,flat/missing.pgm\n"
+    )
+    rc = main(["compare", str(manifest), "--max-iterations", "5",
+               "-o", str(tmp_path / "cmp")])
+    assert rc == 3
+    assert "6 of 9 registrations failed" in capsys.readouterr().err
+    rows = _report(tmp_path / "cmp")
+    assert [(r["id"], r["method"]) for r in rows] == [
+        (pid, m) for pid in ("flat", "gone", "good", "SUMMARY")
+        for m in ("pyramid", "wavelet", "dwt_pyramid")
+    ]
+    for r in rows[:6]:
+        assert r["status"].startswith("error: ")
+        assert (r["max_mi_bits"], r["final_mi_bits"], r["cc"]) == ("", "", "")
+        assert (r["mi_winner"], r["cc_winner"]) == ("0", "0")
+    assert all("moving image is constant" in r["status"] for r in rows[:3])
+    assert all("missing.pgm" in r["status"] for r in rows[3:6])
+
+    # the good pair reports exactly what a clean run of it alone reports
+    alone = tmp_path / "alone.csv"
+    alone.write_text("id,fixed_path,moving_path\n"
+                     "good,pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n")
+    assert main(["compare", str(alone), "--max-iterations", "5",
+                 "-o", str(tmp_path / "clean")]) == 0
+    clean = _report(tmp_path / "clean")
+    assert all(r["status"] == "ok" for r in clean[:3])
+    assert rows[6:] == clean
+
+
+def test_compare_bad_option_fails_before_registering(tmp_path, capsys):
+    root = _make_pairs(tmp_path, 1)
+    rc = main(["compare", str(root), "--bins", "1", "-o", str(tmp_path / "o")])
+    assert rc == 1
+    assert "histogram_bins must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_documents_exit_codes(capsys):
+    for argv in (["--help"], ["compare", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo the wrapping
+        assert "3 compare wrote report.csv but some registrations failed" in text
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(wavereg.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wavereg, wavereg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_diff_identical_greyscale(tmp_path):

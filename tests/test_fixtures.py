@@ -1,19 +1,34 @@
 """Synthetic fixture generation tests."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from wavereg import AffineParams, load_pgm
 from wavereg.fixtures import (
     FixtureSpec,
+    _gaussian_smooth,
     generate_pair,
     render_pattern,
     sidecar_dict,
     write_fixture,
 )
+
+# SHA-256 of fixed.tobytes() + moving.tobytes() for the spec in
+# test_generate_pair_digest, recorded when the noise pattern was still
+# smoothed by scipy.ndimage.gaussian_filter (NumPy 2.4.6 / SciPy 1.17.1)
+PAIR_DIGESTS = {
+    ("phantom_ellipses", 64): "491478f2c9889e711f1d790126452f66c3f077788b7b5d146cc5c4e374e69676",
+    ("phantom_ellipses", 97): "5de21bd9326612f9c38bee41d3751d123e003581c9fdef41592f9631a31aed3e",
+    ("checker", 64): "f1a5ae9090b82cc7505e71e13d153c14851ed019220c12dd35f94b6613f804db",
+    ("checker", 97): "d05ce5df093bbda68cc8720e0eb0822fd8c113beeabd99f6a69519abf5bcb4e7",
+    ("noise_smoothed", 64): "703d986346675315bcd878635f3a06e1df9d9ba523747c541b4b2ba412044ef5",
+    ("noise_smoothed", 97): "493625db8e7207cef060bd16647fbd49aa8e163a17c9b452dc281907c5aaa5b0",
+}
 from wavereg.transform import compose_matrix, params_from_dict
 
 
@@ -108,3 +123,23 @@ def test_write_fixture_outputs(tmp_path):
     assert fixed.shape == moving.shape == (64, 64)
     side = json.loads((tmp_path / "fx" / "truth.json").read_text())
     assert side["truth"]["tx"] == 2.0
+
+
+@pytest.mark.parametrize("size", [64, 65, 97, 256])
+@pytest.mark.parametrize("sigma", [1.5, 6.0])
+def test_gaussian_smooth_bytes_equal_gaussian_filter(sigma, size):
+    noise = np.random.default_rng(size).standard_normal((size, size))
+    got = _gaussian_smooth(noise, sigma)
+    assert got.tobytes() == gaussian_filter(noise, sigma=sigma).tobytes()
+
+
+@pytest.mark.parametrize("pattern, size", sorted(PAIR_DIGESTS))
+def test_generate_pair_digest(pattern, size):
+    spec = FixtureSpec(
+        base_pattern=pattern, size=size,
+        truth=AffineParams(tx=3.5, ty=-2.0, theta=math.radians(4), sx=1.05, k=0.02),
+        remap="gamma", noise_sigma=0.02, seed=5,
+    )
+    fixed, moving, _ = generate_pair(spec)
+    digest = hashlib.sha256(fixed.tobytes() + moving.tobytes()).hexdigest()
+    assert digest == PAIR_DIGESTS[pattern, size]
