@@ -18,7 +18,6 @@ import numpy as np
 
 from . import fixtures
 from .imageio import PnmError, load_pgm, overlay_diff, save_pgm, save_ppm
-from .metric import MetricConfig
 from .optimizer import OptimizerConfig, trace_to_csv
 from .pipeline import RegistrationConfig, RegistrationError, register
 from .transform import AffineParams, image_center, save_params
@@ -39,6 +38,10 @@ METHOD_ALIASES = {
 EXIT_CODES = ("exit codes: 0 success, 1 runtime failure, 2 usage error, "
               "3 compare wrote report.csv but some registrations failed "
               "(see its status column)")
+
+MAX_MI_NOTE = ("max_mi_bits is the best value in the method's own objective space "
+               "(for dwt_pyramid a sum of band MIs with clamped bins); compare "
+               "methods by mi_bits (metrics.json) or final_mi_bits (report.csv).")
 
 REPORT_FIELDS = ["id", "method", "max_mi_bits", "final_mi_bits", "cc",
                  "mi_winner", "cc_winner", "status"]
@@ -69,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True, help="output directory")
 
-    p = sub.add_parser("register", help="register a moving image onto a fixed one")
+    p = sub.add_parser("register", help="register a moving image onto a fixed one",
+                       description=MAX_MI_NOTE)
     p.add_argument("--method", choices=sorted(METHOD_ALIASES), required=True)
     p.add_argument("fixed")
     p.add_argument("moving")
@@ -87,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "report.csv. A pair that cannot be read or a "
                     "registration that fails gets rows with status "
                     "'error: <message>' and empty metric cells; the other "
-                    "pairs still report.",
+                    "pairs still report. " + MAX_MI_NOTE,
         epilog=EXIT_CODES,
     )
     p.add_argument("manifest",
@@ -112,7 +116,7 @@ def _make_config(args, method: str) -> RegistrationConfig:
     return RegistrationConfig(
         method=method,
         pyramid_levels=args.levels,
-        metric=MetricConfig(histogram_bins=args.bins),
+        histogram_bins=args.bins,
         optimizer=OptimizerConfig(seed=args.seed,
                                   max_iterations=args.max_iterations),
         subband_objective=getattr(args, "subband_objective", "sum_all_bands"),

@@ -74,22 +74,14 @@ def load_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width).astype(np.float64)
 
 
-def _quantize(image: np.ndarray, maxval: int) -> np.ndarray:
-    # round half-up, then clamp into [0, maxval]
-    rounded = np.floor(np.asarray(image, dtype=np.float64) + 0.5)
-    return np.clip(rounded, 0, maxval)
-
-
-def save_pgm(image: np.ndarray, path, maxval: int = 255) -> None:
-    """Write a binary PGM (P5); intensities are clamped and rounded."""
-    if maxval not in (255, 65535):
-        raise ValueError(f"maxval must be 255 or 65535, got {maxval}")
+def save_pgm(image: np.ndarray, path) -> None:
+    """Write an 8-bit binary PGM (P5); intensities are rounded half-up and
+    clamped into [0, 255]."""
     image = np.atleast_2d(np.asarray(image, dtype=np.float64))
     height, width = image.shape
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    samples = _quantize(image, maxval).astype(dtype)
+    samples = np.clip(np.floor(image + 0.5), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode())
+        fh.write(f"P5\n{width} {height}\n255\n".encode())
         fh.write(samples.tobytes())
 
 

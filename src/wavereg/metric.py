@@ -24,20 +24,8 @@ import numpy as np
 
 
 @dataclass
-class MetricConfig:
-    histogram_bins: int = 50
-
-    def validate(self) -> None:
-        if self.histogram_bins < 2:
-            raise ValueError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
-
-
-@dataclass
 class JointHistogram:
     counts: np.ndarray  # [fixed_bin, moving_bin]
-    bins: int
-    fixed_range: tuple[float, float]
-    moving_range: tuple[float, float]
     total: float
     degenerate: bool = False
 
@@ -73,11 +61,11 @@ def joint_histogram(
     fixed: np.ndarray,
     moving: np.ndarray,
     mask: np.ndarray,
-    config: MetricConfig | None = None,
+    bins: int = 50,
 ) -> JointHistogram:
     """Accumulate the joint intensity histogram over the masked overlap."""
-    config = config or MetricConfig()
-    config.validate()
+    if bins < 2:
+        raise ValueError(f"histogram_bins must be >= 2, got {bins}")
     fixed = np.asarray(fixed, dtype=np.float64)
     moving = np.asarray(moving, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -94,14 +82,13 @@ def joint_histogram(
     if not (math.isfinite(fmin) and math.isfinite(fmax)
             and math.isfinite(mmin) and math.isfinite(mmax)):
         raise ValueError("non-finite intensities in the overlap")
-    bins = config.histogram_bins
-    if fmin == fmax or mmin == mmax:
+    # a range within 16 eps of its magnitude is flat: bilinear warping
+    # leaves a constant region up to about 2.5 eps of rounding spread
+    tol = 16 * np.finfo(np.float64).eps
+    if fmax - fmin <= tol * max(-fmin, fmax) or mmax - mmin <= tol * max(-mmin, mmax):
         counts = np.zeros((bins, bins))
         counts[0, 0] = fvals.size
-        return JointHistogram(
-            counts=counts, bins=bins, fixed_range=(fmin, fmax),
-            moving_range=(mmin, mmax), total=float(fvals.size), degenerate=True,
-        )
+        return JointHistogram(counts=counts, total=float(fvals.size), degenerate=True)
     counts = np.zeros(bins * bins)
     for start in range(0, fvals.size, _CHUNK):
         stop = start + _CHUNK
@@ -109,10 +96,7 @@ def joint_histogram(
         cell += _bin_index(mvals[start:stop], mmin, mmax, bins)
         counts += np.bincount(cell, minlength=bins * bins)
     counts = counts.reshape(bins, bins)
-    return JointHistogram(
-        counts=counts, bins=bins, fixed_range=(fmin, fmax),
-        moving_range=(mmin, mmax), total=float(counts.sum()),
-    )
+    return JointHistogram(counts=counts, total=float(counts.sum()))
 
 
 def mutual_information(hist: JointHistogram) -> float:
@@ -131,10 +115,10 @@ def mi_between(
     fixed: np.ndarray,
     moving: np.ndarray,
     mask: np.ndarray,
-    config: MetricConfig | None = None,
+    bins: int = 50,
 ) -> float:
     """Convenience: joint histogram then MI."""
-    return mutual_information(joint_histogram(fixed, moving, mask, config))
+    return mutual_information(joint_histogram(fixed, moving, mask, bins))
 
 
 def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:

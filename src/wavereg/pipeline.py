@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .metric import MetricConfig, correlation_coefficient, mi_between
+from .metric import correlation_coefficient, mi_between
 from .optimizer import OptimizerConfig, OptimizerTrace, optimize
 from .pyramid import build_pyramid
 from .transform import (
@@ -47,9 +47,8 @@ class RegistrationError(Exception):
 class RegistrationConfig:
     method: str = "dwt_pyramid"
     pyramid_levels: int = 3
-    metric: MetricConfig = field(default_factory=MetricConfig)
+    histogram_bins: int = 50
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    parameter_mask: tuple[bool, ...] = (True,) * 6
     subband_objective: str = "sum_all_bands"  # or "ll_only"
     initial_params: AffineParams = field(default_factory=AffineParams)
 
@@ -60,9 +59,8 @@ class RegistrationConfig:
             raise ValueError("pyramid_levels must be >= 1")
         if self.subband_objective not in ("sum_all_bands", "ll_only"):
             raise ValueError(f"unknown subband objective {self.subband_objective!r}")
-        if len(self.parameter_mask) != 6:
-            raise ValueError("parameter_mask must have 6 flags")
-        self.metric.validate()
+        if self.histogram_bins < 2:
+            raise ValueError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
         self.optimizer.validate()
 
 
@@ -99,23 +97,11 @@ def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
 MIN_OVERLAP_FRACTION = 0.5
 
 
-def _level_metric(metric_cfg: MetricConfig, image: np.ndarray) -> MetricConfig:
+def _level_bins(bins: int, image: np.ndarray) -> int:
     """Clamp the bin count so small pyramid levels keep several samples per
     bin; with 50 bins on a 16x16 level the estimation bias of MI otherwise
     rewards shrinking the overlap instead of aligning."""
-    bins = min(metric_cfg.histogram_bins, max(2, math.isqrt(image.size) // 2))
-    if bins == metric_cfg.histogram_bins:
-        return metric_cfg
-    return replace(metric_cfg, histogram_bins=bins)
-
-
-def _masked_optimizer(config: RegistrationConfig, level: int) -> OptimizerConfig:
-    scales = tuple(
-        s if free else 0.0
-        for s, free in zip(config.optimizer.param_scales, config.parameter_mask)
-    )
-    return replace(config.optimizer, seed=config.optimizer.seed + level,
-                   param_scales=scales)
+    return min(bins, max(2, math.isqrt(image.size) // 2))
 
 
 def _coarse_to_fine(objectives, config: RegistrationConfig):
@@ -133,7 +119,8 @@ def _coarse_to_fine(objectives, config: RegistrationConfig):
         objective = objectives[level]
         if not math.isfinite(objective(params)):
             raise RegistrationError("registration lost overlap")
-        params, trace = optimize(objective, params, _masked_optimizer(config, level))
+        seeded = replace(config.optimizer, seed=config.optimizer.seed + level)
+        params, trace = optimize(objective, params, seeded)
         traces.append(trace)
         if level > 0:
             params = scale_params_between_levels(params, 2.0)
@@ -165,35 +152,26 @@ def _reconstruct_from_bands(
     return registered, full_mask
 
 
-def _stack_objective(fixed_planes, moving_planes, metric_cfg: MetricConfig):
+def _stack_objective(fixed_planes, moving_planes, bins: int):
     """Objective summing the MI of each plane pair, in the given order, under
     one shared transform; -inf when the overlap is lost or any pair fails.
     The moving planes are stacked once so each evaluation is one warp."""
     moving = np.stack(moving_planes)
-    cfgs = [_level_metric(metric_cfg, f_img) for f_img in fixed_planes]
+    level_bins = _level_bins(bins, moving[0])
 
     def objective(p: AffineParams) -> float:
         warped, mask = warp(moving, p)
         if np.count_nonzero(mask) < MIN_OVERLAP_FRACTION * mask.size:
             return -math.inf
         total = 0.0
-        for f_img, m_img, cfg in zip(fixed_planes, warped, cfgs):
+        for f_img, m_img in zip(fixed_planes, warped):
             try:
-                total += mi_between(f_img, m_img, mask, cfg)
+                total += mi_between(f_img, m_img, mask, level_bins)
             except ValueError:
                 return -math.inf
         return total
 
     return objective
-
-
-def _spatial_metrics(
-    fixed: np.ndarray, registered: np.ndarray, mask: np.ndarray,
-    metric_cfg: MetricConfig,
-) -> tuple[float, float]:
-    """MI (bits) and CC between the fixed and the registered image over mask."""
-    return (mi_between(fixed, registered, mask, metric_cfg),
-            correlation_coefficient(registered, fixed, mask))
 
 
 def register(
@@ -222,7 +200,7 @@ def register(
     num_levels = min(len(p) for p in pyrs_f + pyrs_m)
     objectives = [
         _stack_objective([p[i] for p in pyrs_f], [p[i] for p in pyrs_m],
-                         config.metric)
+                         config.histogram_bins)
         for i in range(num_levels)
     ]
     params, traces = _coarse_to_fine(objectives, run_config)
@@ -231,23 +209,10 @@ def register(
         params = scale_params_between_levels(params, 2.0)
     else:
         registered, mask = warp(moving, params)
-    final_mi, cc = _spatial_metrics(fixed, registered, mask, config.metric)
+    final_mi = mi_between(fixed, registered, mask, config.histogram_bins)
+    cc = correlation_coefficient(registered, fixed, mask)
     return RegistrationResult(
         params=params, registered=registered, mask=mask,
         max_mi_bits=max(t.best_value for t in traces), final_mi_bits=final_mi,
         cc=cc, traces=traces, method=config.method,
     )
-
-
-def evaluate(
-    fixed: np.ndarray, result: RegistrationResult, metric_cfg: MetricConfig
-) -> dict:
-    """Recompute the spatial-domain metrics of a result; idempotent."""
-    if fixed.shape != result.registered.shape:
-        raise ValueError("dimension mismatch between fixed and registered image")
-    mi, cc = _spatial_metrics(fixed, result.registered, result.mask, metric_cfg)
-    return {
-        "mi_bits": mi,
-        "cc": cc,
-        "overlap_pixels": int(np.count_nonzero(result.mask)),
-    }

@@ -159,21 +159,17 @@ def _grid(height: int, width: int):
     return constants
 
 
-def warp(
-    moving: np.ndarray,
-    params: AffineParams,
-    center: tuple[float, float] | None = None,
-    fill: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resample the moving image on its own grid under ``params``.
+def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
+    """Resample the moving image on its own grid under ``params``, applied
+    about the image center.
 
     ``moving`` is one (H, W) plane or a (k, H, W) stack of planes that
     share a grid. Returns the warped plane or stack, in the input's shape,
     and one (H, W) validity mask that is set only where the source
     coordinate lies fully inside the bilinear support; everywhere else the
-    output takes ``fill``. The source coordinates, the mask, the corner
-    indices and the weights are computed once for all planes, and each
-    plane equals its own 2-D ``warp`` bit for bit.
+    output is 0. The source coordinates, the mask, the corner indices and
+    the weights are computed once for all planes, and each plane equals
+    its own 2-D ``warp`` bit for bit.
 
     The result equals ``scipy.ndimage.map_coordinates(order=1,
     mode="constant")`` byte for byte. The masked pixels are resampled one
@@ -190,13 +186,11 @@ def warp(
     """
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
-    if center is None:
-        center = image_center(moving)
-    m = center_adjusted(params, center)[1::-1, :, None, None]  # rows: y, x
+    m = center_adjusted(params, image_center(moving))[1::-1, :, None, None]  # rows: y, x
     xs, ys, upper, corners = _grid(height, width)
     planes = moving.reshape(-1, height * width)
     k = len(planes)
-    out = np.full(planes.shape, fill)
+    out = np.zeros(planes.shape)
     mask = np.empty((height, width), dtype=bool)
     cols = m[:, 0] * xs
     rows = max(1, _PASS // width)
@@ -246,21 +240,7 @@ def params_to_dict(params: AffineParams, center: tuple[float, float]) -> dict:
     }
 
 
-def params_from_dict(d: dict) -> tuple[AffineParams, tuple[float, float]]:
-    params = AffineParams(
-        tx=float(d["tx"]), ty=float(d["ty"]), theta=float(d["theta_rad"]),
-        sx=float(d["sx"]), sy=float(d["sy"]), k=float(d["k"]),
-    )
-    cx, cy = d["center"]
-    return params, (float(cx), float(cy))
-
-
 def save_params(params: AffineParams, center: tuple[float, float], path) -> None:
     with open(path, "w") as fh:
         json.dump(params_to_dict(params, center), fh, indent=2)
         fh.write("\n")
-
-
-def load_params(path) -> tuple[AffineParams, tuple[float, float]]:
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))

@@ -14,7 +14,6 @@ import wavereg
 from wavereg import load_pgm
 from wavereg.cli import main
 from wavereg.imageio import save_pgm
-from wavereg.transform import load_params
 
 
 def _synth(out, **kw):
@@ -70,9 +69,9 @@ def test_register_identity_pair(tmp_path):
     mask = load_pgm(out / "mask.pgm")
     assert registered.shape == (128, 128)
     assert set(np.unique(mask)) <= {0.0, 255.0}
-    params, center = load_params(out / "params.json")
-    assert center == (63.5, 63.5)
-    assert abs(params.tx) < 0.5
+    params = json.loads((out / "params.json").read_text())
+    assert params["center"] == [63.5, 63.5]
+    assert abs(params["tx"]) < 0.5
     # one trace per pyramid level, finest is level 0
     assert (out / "trace_level0.csv").is_file()
     assert (out / "trace_level2.csv").is_file()
@@ -243,6 +242,17 @@ def test_help_documents_exit_codes(capsys):
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())  # undo the wrapping
         assert "3 compare wrote report.csv but some registrations failed" in text
+
+
+def test_help_explains_max_mi_bits(capsys):
+    for command in ("register", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "max_mi_bits is the best value in the method's own objective space" in text
+        assert "for dwt_pyramid a sum of band MIs with clamped bins" in text
+        assert "compare methods by mi_bits (metrics.json) or final_mi_bits" in text
 
 
 def test_import_leaves_scipy_unloaded():

@@ -3,28 +3,26 @@
 import numpy as np
 import pytest
 
-from wavereg import (
+from wavereg.metric import (
+    _CHUNK,
     JointHistogram,
-    MetricConfig,
+    _bin_index,
     correlation_coefficient,
     joint_histogram,
     mi_between,
     mutual_information,
 )
-from wavereg.metric import _CHUNK
+from wavereg.transform import AffineParams, warp
 
 
 def _diag_hist(n):
     counts = np.eye(n) * 10.0
-    return JointHistogram(
-        counts=counts, bins=n, fixed_range=(0.0, 1.0),
-        moving_range=(0.0, 1.0), total=float(counts.sum()),
-    )
+    return JointHistogram(counts=counts, total=float(counts.sum()))
 
 
 def test_identical_images_diagonal_histogram():
     img = np.array([[0.0, 1.0], [2.0, 3.0]])
-    h = joint_histogram(img, img, np.ones((2, 2), bool), MetricConfig(histogram_bins=4))
+    h = joint_histogram(img, img, np.ones((2, 2), bool), bins=4)
     assert np.array_equal(h.counts, np.eye(4))
     assert h.total == 4.0
 
@@ -32,7 +30,7 @@ def test_identical_images_diagonal_histogram():
 def test_independent_pair_uniform_histogram():
     fixed = np.array([[0.0, 0.0, 1.0, 1.0]])
     moving = np.array([[0.0, 1.0, 0.0, 1.0]])
-    h = joint_histogram(fixed, moving, np.ones((1, 4), bool), MetricConfig(histogram_bins=2))
+    h = joint_histogram(fixed, moving, np.ones((1, 4), bool), bins=2)
     assert np.array_equal(h.counts, np.ones((2, 2)))
 
 
@@ -52,7 +50,7 @@ def test_empty_mask_raises():
 
 def test_top_edge_inclusive():
     img = np.array([[0.0, 10.0]])
-    h = joint_histogram(img, img, np.ones((1, 2), bool), MetricConfig(histogram_bins=2))
+    h = joint_histogram(img, img, np.ones((1, 2), bool), bins=2)
     assert h.counts[1, 1] == 1.0
     assert h.total == 2.0
 
@@ -64,10 +62,7 @@ def test_mi_diagonal_bits():
 
 
 def test_mi_independent_zero():
-    h = JointHistogram(
-        counts=np.ones((2, 2)), bins=2, fixed_range=(0, 1),
-        moving_range=(0, 1), total=4.0,
-    )
+    h = JointHistogram(counts=np.ones((2, 2)), total=4.0)
     assert mutual_information(h) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -79,19 +74,19 @@ def test_mi_degenerate_constant_image():
 
 def test_mi_symmetry_and_bounds():
     rng = np.random.default_rng(4)
-    cfg = MetricConfig(histogram_bins=16)
+    bins = 16
     mask = np.ones((32, 32), bool)
     for _ in range(20):
         a = rng.uniform(0, 255, (32, 32))
         b = rng.uniform(0, 255, (32, 32))
-        ab = mi_between(a, b, mask, cfg)
-        ba = mi_between(b, a, mask, cfg)
+        ab = mi_between(a, b, mask, bins)
+        ba = mi_between(b, a, mask, bins)
         assert ab == pytest.approx(ba, abs=1e-12)
         assert ab >= -1e-12
         # MI is bounded by each marginal entropy
-        ha = joint_histogram(a, a, mask, cfg)
+        ha = joint_histogram(a, a, mask, bins)
         entropy = mutual_information(ha)
-        assert mi_between(a, b, mask, cfg) <= entropy + 1e-9
+        assert mi_between(a, b, mask, bins) <= entropy + 1e-9
 
 
 def test_mi_relabel_invariance():
@@ -101,9 +96,9 @@ def test_mi_relabel_invariance():
     a = rng.integers(0, 8, (64, 64)).astype(float)
     b = rng.integers(0, 8, (64, 64)).astype(float)
     mask = np.ones((64, 64), bool)
-    cfg = MetricConfig(histogram_bins=8)
-    base = mi_between(a, b, mask, cfg)
-    relabeled = mi_between(2.0 * a + 5.0, b, mask, cfg)
+    bins = 8
+    base = mi_between(a, b, mask, bins)
+    relabeled = mi_between(2.0 * a + 5.0, b, mask, bins)
     assert relabeled == pytest.approx(base, abs=1e-12)
 
 
@@ -151,6 +146,12 @@ def _random_samples(rng, kind, n, bins):
     return tuple(out)
 
 
+def _flat(v):
+    """``joint_histogram``'s rule: a range within 16 eps of its largest
+    magnitude is flat."""
+    return v.max() - v.min() <= 16 * np.finfo(np.float64).eps * np.abs(v).max()
+
+
 @pytest.mark.parametrize(
     "seed, kind", enumerate(["magnitude", "offset", "integer", "on_edges", "ulp_range"]))
 def test_binning_matches_histogram2d(seed, kind):
@@ -165,11 +166,19 @@ def test_binning_matches_histogram2d(seed, kind):
         bins = 2 + trial % 59  # 2 .. 60
         f, m = _random_samples(rng, kind, n, bins)
         if f.min() == f.max() or m.min() == m.max():
-            continue  # the degenerate path never bins
-        h = joint_histogram(f[None], m[None], np.ones((1, n), bool),
-                            MetricConfig(histogram_bins=bins))
+            continue  # a zero range has no bins
+        h = joint_histogram(f[None], m[None], np.ones((1, n), bool), bins=bins)
         oracle, _, _ = np.histogram2d(
             f, m, bins=bins, range=[[f.min(), f.max()], [m.min(), m.max()]])
+        if _flat(f) or _flat(m):
+            # joint_histogram does not bin a flat range, but the binning
+            # itself must still agree with histogram2d on it
+            assert h.degenerate
+            cell = _bin_index(f, f.min(), f.max(), bins) * bins
+            cell += _bin_index(m, m.min(), m.max(), bins)
+            assert np.array_equal(np.bincount(cell, minlength=bins * bins),
+                                  oracle.ravel()), (kind, trial, n, bins)
+            continue
         assert h.counts.dtype == oracle.dtype
         assert np.array_equal(h.counts, oracle), (kind, trial, n, bins)
         assert h.total == n
@@ -190,8 +199,29 @@ def test_non_finite_range_raises(bad):
 
 
 def test_metric_config_validation():
-    with pytest.raises(ValueError):
-        MetricConfig(histogram_bins=1).validate()
+    img = np.arange(16.0).reshape(4, 4)
+    mask = np.ones((4, 4), bool)
+    for bins in (1, 0):
+        with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
+            joint_histogram(img, img, mask, bins=bins)
+        with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
+            mi_between(img, img, mask, bins=bins)
+
+
+@pytest.mark.parametrize("value", [0.5, 117.0, 1e-3, -3.25, 1e6])
+def test_warped_constant_is_degenerate(value):
+    """A bilinearly warped constant keeps a few ULPs of spread; that is
+    rounding, so the histogram is degenerate and the MI 0, on either side."""
+    flat, mask = warp(np.full((64, 64), value), AffineParams(theta=0.3))
+    spread = flat[mask].max() - flat[mask].min()
+    assert 0 < spread <= 3 * np.finfo(np.float64).eps * abs(value)
+    other = np.random.default_rng(1).uniform(0, 255, (64, 64))
+    for h in (joint_histogram(flat, other, mask), joint_histogram(other, flat, mask)):
+        assert h.degenerate and mutual_information(h) == 0.0
+        assert h.total == np.count_nonzero(mask)
+    # a relative spread of 1e-12 is structure, and is binned
+    other[mask] = value * (1 + 1e-12 * np.linspace(0, 1, np.count_nonzero(mask)))
+    assert not joint_histogram(other, other, mask).degenerate
 
 
 def test_cc_canonical_cases():

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from wavereg import AffineParams, OptimizerConfig, optimize
-from wavereg.optimizer import trace_to_csv
+from wavereg import AffineParams, OptimizerConfig
+from wavereg.optimizer import optimize, trace_to_csv
 
 
 def quadratic(p):

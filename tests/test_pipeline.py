@@ -14,17 +14,15 @@ import pytest
 
 from wavereg import (
     AffineParams,
-    MetricConfig,
     OptimizerConfig,
     RegistrationConfig,
     RegistrationError,
-    evaluate,
     register,
-    warp,
 )
 from wavereg.fixtures import FixtureSpec, generate_pair
+from wavereg.metric import joint_histogram
 from wavereg.pipeline import _reconstruct_from_bands
-from wavereg.transform import invert_params
+from wavereg.transform import invert_params, warp
 from wavereg.wavelet import dwt2
 
 
@@ -168,18 +166,6 @@ def test_result_invariants():
         assert r.mask.dtype == bool
 
 
-def test_parameter_mask_freezes_parameters():
-    fixed, moving, _ = generate_pair(
-        FixtureSpec(size=64, truth=AffineParams(tx=4, ty=-3), seed=7)
-    )
-    cfg = _config("pyramid")
-    cfg.parameter_mask = (True, True, False, False, False, False)
-    r = register(fixed, moving, cfg)
-    assert r.params.theta == 0.0
-    assert r.params.sx == 1.0 and r.params.sy == 1.0 and r.params.k == 0.0
-    assert abs(r.params.tx) > 1.0  # the free parameters did move
-
-
 def test_ll_only_objective_runs():
     fixed = _phantom()
     cfg = _config("dwt_pyramid")
@@ -228,8 +214,6 @@ def test_config_validation():
         RegistrationConfig(pyramid_levels=0).validate()
     with pytest.raises(ValueError, match="subband objective"):
         RegistrationConfig(subband_objective="hh_only").validate()
-    with pytest.raises(ValueError):
-        RegistrationConfig(parameter_mask=(True,) * 5).validate()
 
 
 def test_reconstruct_from_bands_identity():
@@ -241,41 +225,19 @@ def test_reconstruct_from_bands_identity():
 
 
 def test_evaluate_identical_pair():
+    """``register`` evaluates its own result: on a pair of identical images
+    with the optimizer idle, cc is 1 and final_mi_bits is the self-MI."""
     fixed = _phantom()
     cfg = _config("pyramid")
     cfg.optimizer = OptimizerConfig(max_iterations=0)
     r = register(fixed, fixed, cfg)
-    out = evaluate(fixed, r, MetricConfig())
-    assert out["cc"] == pytest.approx(1.0, abs=1e-9)
+    assert r.mask.all()
+    assert r.cc == pytest.approx(1.0, abs=1e-9)
     # self-MI equals the entropy of the binned fixed distribution
-    from wavereg import joint_histogram
-
     h = joint_histogram(fixed, fixed, r.mask)
     p = h.counts.sum(axis=1) / h.total
     p = p[p > 0]
-    assert out["mi_bits"] == pytest.approx(float(-(p * np.log2(p)).sum()), abs=1e-6)
-    assert out["overlap_pixels"] == fixed.size
-    # idempotence
-    assert evaluate(fixed, r, MetricConfig()) == out
-
-
-def test_evaluate_constant_registered_errors():
-    fixed = _phantom()
-    cfg = _config("pyramid")
-    cfg.optimizer = OptimizerConfig(max_iterations=0)
-    r = register(fixed, fixed, cfg)
-    r.registered = np.full_like(fixed, 9.0)
-    with pytest.raises(ValueError, match="undefined correlation"):
-        evaluate(fixed, r, MetricConfig())
-
-
-def test_evaluate_shape_mismatch():
-    fixed = _phantom()
-    cfg = _config("pyramid")
-    cfg.optimizer = OptimizerConfig(max_iterations=0)
-    r = register(fixed, fixed, cfg)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        evaluate(np.zeros((32, 32)), r, MetricConfig())
+    assert r.final_mi_bits == pytest.approx(float(-(p * np.log2(p)).sum()), abs=1e-6)
 
 
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
@@ -295,14 +257,14 @@ def test_bad_histogram_bins_fails_fast(method, bins):
     # the optimization can name the cause instead of "lost overlap"
     fixed = _phantom()
     cfg = _config(method)
-    cfg.metric = MetricConfig(histogram_bins=bins)
+    cfg.histogram_bins = bins
     with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
         register(fixed, fixed, cfg)
 
 
 def test_config_validation_covers_metric_and_optimizer():
     with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
-        RegistrationConfig(metric=MetricConfig(histogram_bins=1)).validate()
+        RegistrationConfig(histogram_bins=1).validate()
     with pytest.raises(ValueError, match="growth_factor must be > 1"):
         RegistrationConfig(optimizer=OptimizerConfig(growth_factor=1.0)).validate()
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 
-from wavereg import build_pyramid, reduce_image
-from wavereg.pyramid import GENERATING_KERNEL, _correlate_reflect
+from wavereg.pyramid import GENERATING_KERNEL, _correlate_reflect, build_pyramid, reduce_image
 
 
 def _scipy_reduce(image):

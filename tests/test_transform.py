@@ -1,24 +1,25 @@
 """Affine parameterization, matrix composition and warping tests."""
 
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from wavereg import (
-    AffineParams,
+from wavereg import AffineParams, invert_params
+from wavereg.transform import (
     center_adjusted,
     compose_matrix,
     image_center,
     invert_matrix,
-    invert_params,
+    save_params,
     scale_params_between_levels,
     warp,
 )
-from wavereg.transform import load_params, save_params
 
 
 def test_identity_matrix():
@@ -146,46 +147,57 @@ def test_warp_quarter_turn_matches_permutation():
 
 
 def test_warp_fill_value():
-    img = np.ones((16, 16))
-    out, mask = warp(img, AffineParams(tx=4), fill=-1.0)
-    assert np.all(out[~mask] == -1.0)
+    # pixels outside the mask are 0, whatever the plane holds
+    img = np.full((16, 16), -1.0)
+    out, mask = warp(img, AffineParams(tx=4))
+    assert mask.any() and not mask.all()
+    assert np.all(out[~mask] == 0.0) and np.all(out[mask] == -1.0)
 
 
-def _reference_warp(moving, params, center, fill):
+def _reference_warp(moving, params):
     """Single-plane warp on a full ``mgrid``, kept as the oracle."""
     height, width = moving.shape
-    m = center_adjusted(params, center)
+    m = center_adjusted(params, image_center(moving))
     ys, xs = np.mgrid[0:height, 0:width]
     src_x = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
     src_y = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
     mask = (src_x >= 0.0) & (src_x <= width - 1.0) & (src_y >= 0.0) & (src_y <= height - 1.0)
-    out = map_coordinates(moving, [src_y, src_x], order=1, mode="constant", cval=fill)
-    out[~mask] = fill
+    out = map_coordinates(moving, [src_y, src_x], order=1, mode="constant")
+    out[~mask] = 0.0
     return out, mask
 
 
-@pytest.mark.parametrize("params, fill", [
+def _about(params, center, image):
+    """``params`` applied about ``center`` instead of the image center: the
+    same linear part, with the pivot's move folded into the translation."""
+    shift = np.subtract(center, image_center(image))
+    t = np.array([params.tx, params.ty]) + shift - compose_matrix(params)[:2, :2] @ shift
+    return replace(params, tx=float(t[0]), ty=float(t[1]))
+
+
+@pytest.mark.parametrize("params, offset", [
     (AffineParams(tx=2.5, ty=-1.25, theta=0.3), 0.0),
     (AffineParams(theta=-0.2, k=0.15, sx=1.1, sy=0.9), -3.5),
     (AffineParams(tx=30.0, k=-0.4), 7.0),
 ])
-def test_warp_stack_equals_separate_planes(params, fill):
-    stack = np.random.default_rng(8).normal(size=(4, 23, 31))
-    for center in (None, (10.0, 12.5)):
-        warped, mask = warp(stack, params, center=center, fill=fill)
+def test_warp_stack_equals_separate_planes(params, offset):
+    # ``offset`` moves the intensities away from 0, the value outside the mask
+    stack = np.random.default_rng(8).normal(size=(4, 23, 31)) + offset
+    for p in (params, _about(params, (10.0, 12.5), stack)):
+        warped, mask = warp(stack, p)
         assert warped.shape == stack.shape
         assert mask.shape == stack.shape[1:]
-        assert not mask.all()  # some output pixels take the fill
+        assert not mask.all()  # some output pixels lie outside the mask
         for plane, got in zip(stack, warped):
-            alone, alone_mask = warp(plane, params, center=center, fill=fill)
-            ref, ref_mask = _reference_warp(plane, params, center or image_center(plane), fill)
+            alone, alone_mask = warp(plane, p)
+            ref, ref_mask = _reference_warp(plane, p)
             assert got.tobytes() == alone.tobytes() == ref.tobytes()
             assert np.array_equal(mask, alone_mask) and np.array_equal(mask, ref_mask)
-            assert np.all(got[~mask] == fill)
+            assert np.all(got[~mask] == 0.0)
 
 
 def _warp_cases(rng):
-    """(stack, params, center, fill) cases for the byte-exact warp test."""
+    """(stack, params) cases for the byte-exact warp test."""
     shapes = [(2, 2), (2, 3), (3, 2), (1, 5), (5, 1), (3, 4200), (700, 20)]
     shapes += [tuple(int(n) for n in rng.integers(2, 91, size=2)) for _ in range(120)]
     for i, (height, width) in enumerate(shapes):
@@ -200,6 +212,7 @@ def _warp_cases(rng):
             stack = rng.integers(-5, 6, size=(k, height, width)).astype(np.float64)
         else:
             stack = rng.normal(size=(k, height, width)) * (1e-6 if kind == 3 else 1e6)
+        # one case in three turns about a random point instead of the center
         center = None if i % 3 else (rng.uniform(0, width), rng.uniform(0, height))
         move = i % 7
         if move == 0:  # integer shifts land exactly on the last row or column
@@ -220,8 +233,8 @@ def _warp_cases(rng):
             params = AffineParams(tx=rng.uniform(0, 0.5), ty=rng.uniform(0, 0.5),
                                   sx=rng.uniform(0.005, 0.05), sy=rng.uniform(0.005, 0.05))
             center = (0.0, 0.0)
-        yield stack, params, center, (0.0, 0.7, -2.0)[i % 3]
-    yield rng.normal(size=(2, 9, 9)), AffineParams(tx=1000.0), None, 0.5  # empty mask
+        yield stack, params if center is None else _about(params, center, stack)
+    yield rng.normal(size=(2, 9, 9)), AffineParams(tx=1000.0)  # empty mask
 
 
 def test_warp_bytes_equal_map_coordinates():
@@ -229,14 +242,14 @@ def test_warp_bytes_equal_map_coordinates():
     signed zeros included, on every plane of every case."""
     rng = np.random.default_rng(2024)
     resampled = empty = 0
-    for stack, params, center, fill in _warp_cases(rng):
+    for stack, params in _warp_cases(rng):
         planes = stack if len(stack) > 1 else stack[0]
-        warped, mask = warp(planes, params, center=center, fill=fill)
+        warped, mask = warp(planes, params)
         assert warped.shape == planes.shape
         resampled += len(stack) * np.count_nonzero(mask)
         empty += not mask.any()
         for plane, got in zip(stack, warped.reshape(stack.shape)):
-            ref, ref_mask = _reference_warp(plane, params, center or image_center(plane), fill)
+            ref, ref_mask = _reference_warp(plane, params)
             assert got.tobytes() == ref.tobytes()
             assert np.array_equal(mask, ref_mask)
     assert resampled > 400_000 and empty >= 1
@@ -286,6 +299,6 @@ def test_params_json_roundtrip(tmp_path):
     p = AffineParams(tx=1.25, ty=-0.5, theta=0.1, sx=1.05, sy=0.95, k=-0.02)
     path = tmp_path / "params.json"
     save_params(p, (63.5, 63.5), path)
-    q, center = load_params(path)
-    assert q == p
-    assert center == (63.5, 63.5)
+    d = json.loads(path.read_text())
+    assert AffineParams(d["tx"], d["ty"], d["theta_rad"], d["sx"], d["sy"], d["k"]) == p
+    assert d["center"] == [63.5, 63.5]

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from wavereg import dwt2, idwt2
-from wavereg.wavelet import SubBands
+from wavereg.wavelet import SubBands, dwt2, idwt2
 
 
 def test_constant_image_energy_in_ll():
