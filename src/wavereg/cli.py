@@ -196,13 +196,17 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
                 "manifest needs a header with id,fixed_path,moving_path"
             )
         for row in reader:
-            fixed = row["fixed_path"]
-            moving = row["moving_path"]
+            pid, fixed, moving = row["id"], row["fixed_path"], row["moving_path"]
+            where = f"manifest line {reader.line_num}"
+            if None in (pid, fixed, moving):  # a short row
+                raise ValueError(f"{where}: needs id, fixed_path and moving_path")
+            if any(pid == seen for seen, _, _ in pairs):
+                raise ValueError(f"{where}: repeated id {pid!r}")
             if not os.path.isabs(fixed):
                 fixed = os.path.join(base, fixed)
             if not os.path.isabs(moving):
                 moving = os.path.join(base, moving)
-            pairs.append((row["id"], fixed, moving))
+            pairs.append((pid, fixed, moving))
     return pairs
 
 

@@ -34,11 +34,9 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _parse_header(data: bytes, magic: bytes) -> tuple[int, int, int, int]:
-    if data[:2] != magic:
-        raise PnmError(
-            f"unsupported magic {data[:2]!r} (expected {magic.decode()})"
-        )
+def _parse_header(data: bytes) -> tuple[int, int, int, int]:
+    if data[:2] != b"P5":
+        raise PnmError(f"unsupported magic {data[:2]!r} (expected P5)")
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
@@ -61,7 +59,7 @@ def load_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5). 16-bit samples are big-endian."""
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, maxval, offset = _parse_header(data, b"P5")
+    width, height, maxval, offset = _parse_header(data)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
     payload = data[offset:offset + count * dtype.itemsize]
@@ -131,12 +129,11 @@ def overlay_diff(
     fixed: np.ndarray,
     registered: np.ndarray,
     mask: np.ndarray,
-    tol: float = 0.1,
 ) -> np.ndarray:
     """Grey/fuchsia difference overlay.
 
     Both images are normalized to their joint masked intensity range.
-    Agreeing pixels (within ``tol`` of that range) render grey, disagreeing
+    Agreeing pixels (within 0.1 of that range) render grey, disagreeing
     pixels fuchsia, masked-out pixels black.
     """
     fixed = np.asarray(fixed, dtype=np.float64)
@@ -156,7 +153,7 @@ def overlay_diff(
     nf = (fixed - lo) / span
     nr = (registered - lo) / span
     grey = np.clip(np.round(255.0 * nf), 0, 255).astype(np.uint8)
-    agree = np.abs(nf - nr) <= tol
+    agree = np.abs(nf - nr) <= 0.1
     out[..., 0] = np.where(agree, grey, 255)
     out[..., 1] = np.where(agree, grey, (grey * 0.3).astype(np.uint8))
     out[..., 2] = np.where(agree, grey, 255)

@@ -34,16 +34,16 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.growth_factor <= 1:
-            raise ValueError(f"growth_factor must be > 1, got {self.growth_factor}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.initial_radius <= self.epsilon:
-            raise ValueError("initial_radius must exceed epsilon")
+        for name, low in (("growth_factor", 1), ("epsilon", 0),
+                          ("initial_radius", self.epsilon), ("shrink_exponent", 0)):
+            value = getattr(self, name)
+            if not low < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be > {low} and finite, got {value}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if len(self.param_scales) != 6 or any(s < 0 for s in self.param_scales):
-            raise ValueError("param_scales must be 6 nonnegative values")
+        if len(self.param_scales) != 6 or not all(
+                0 <= s < math.inf for s in self.param_scales):
+            raise ValueError("param_scales must be 6 finite nonnegative values")
 
 
 @dataclass
@@ -67,7 +67,6 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
     """Maximize ``objective`` from ``p0``; returns (best_params, trace).
 
     Candidates with non-positive scales are rejected without evaluation.
-    The best-ever parameters are returned, not merely the final parent.
     """
     config.validate()
     f0 = float(objective(p0))
@@ -75,40 +74,32 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
         raise ValueError("invalid start: objective is not finite at p0")
     rng = np.random.default_rng(config.seed)
     scales = np.asarray(config.param_scales, dtype=np.float64)
-    parent = p0
-    f_parent = f0
     radius = config.initial_radius
+    # only strict improvements are accepted, so the parent is the best so far
     trace = OptimizerTrace(best_value=f0, best_params=p0)
-    reason = "max_iterations"
     for it in range(config.max_iterations):
         if radius < config.epsilon:
-            reason = "radius_below_epsilon"
             break
         step = radius * scales * rng.standard_normal(6)
-        candidate = AffineParams.from_vector(parent.as_vector() + step)
+        candidate = AffineParams.from_vector(trace.best_params.as_vector() + step)
         if candidate.sx <= 0 or candidate.sy <= 0:
             f_cand = math.nan
             accepted = False
         else:
             f_cand = float(objective(candidate))
-            accepted = math.isfinite(f_cand) and f_cand > f_parent
+            accepted = math.isfinite(f_cand) and f_cand > trace.best_value
         trace.records.append(
             IterationRecord(iteration=it, params=candidate, value=f_cand,
                             accepted=accepted, radius=radius)
         )
         if accepted:
-            parent = candidate
-            f_parent = f_cand
+            trace.best_value = f_cand
+            trace.best_params = candidate
             radius *= config.growth_factor
-            if f_cand > trace.best_value:
-                trace.best_value = f_cand
-                trace.best_params = candidate
         else:
             radius *= config.growth_factor ** (-config.shrink_exponent)
-    else:
-        if radius < config.epsilon:
-            reason = "radius_below_epsilon"
-    trace.termination_reason = reason
+    if radius < config.epsilon:
+        trace.termination_reason = "radius_below_epsilon"
     return trace.best_params, trace
 
 

@@ -1,10 +1,10 @@
 """One coarse-to-fine registration loop for the three methods.
 
-Every method is the same loop: split each image into planes, build a
-Gaussian pyramid on each plane, maximize the summed plane-pair MI under
-one shared transform from the coarsest level to the finest, then map the
-result back to the full-resolution image. The methods differ only in the
-planes and the number of levels:
+Every method is the same loop: split each image into a (k, H, W) stack of
+planes, build one Gaussian pyramid of each stack, maximize the summed
+plane-pair MI under one shared transform from the coarsest level to the
+finest, then map the result back to the full-resolution image. The methods
+differ only in the planes and the number of levels:
 
 - ``pyramid``: the image itself, ``pyramid_levels`` levels (the
   spatial-domain baseline);
@@ -33,7 +33,7 @@ from .transform import (
     scale_params_between_levels,
     warp,
 )
-from .wavelet import SubBands, dwt2, idwt2
+from .wavelet import dwt2, idwt2
 
 METHODS = ("pyramid", "wavelet", "dwt_pyramid")
 
@@ -127,36 +127,21 @@ def _coarse_to_fine(objectives, config: RegistrationConfig):
     return params, traces
 
 
-def _expand_mask(mask: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Nearest-neighbor 2x upsampling of a sub-band mask, cropped to size."""
-    big = np.kron(mask, np.ones((2, 2), dtype=bool))
-    return big[:height, :width]
-
-
 def _reconstruct_from_bands(
-    moving_bands: SubBands, params: AffineParams
+    moving_bands: np.ndarray, params: AffineParams, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Warp the four moving sub-bands with one sub-band-space transform and
-    inverse transform into the registered full-resolution image."""
-    warped, mask = warp(np.stack(moving_bands.planes), params)
-    registered = idwt2(
-        SubBands(
-            *warped,
-            original_width=moving_bands.original_width,
-            original_height=moving_bands.original_height,
-        )
-    )
-    full_mask = _expand_mask(
-        mask, moving_bands.original_width, moving_bands.original_height
-    )
-    return registered, full_mask
+    """Warp the (4, H', W') moving sub-band stack with one sub-band-space
+    transform and inverse transform into the registered image of ``shape``;
+    the mask is the sub-band mask upsampled 2x (nearest neighbor) and cropped."""
+    warped, mask = warp(moving_bands, params)
+    full_mask = np.kron(mask, np.ones((2, 2), dtype=bool))[:shape[0], :shape[1]]
+    return idwt2(warped, shape), full_mask
 
 
-def _stack_objective(fixed_planes, moving_planes, bins: int):
-    """Objective summing the MI of each plane pair, in the given order, under
-    one shared transform; -inf when the overlap is lost or any pair fails.
-    The moving planes are stacked once so each evaluation is one warp."""
-    moving = np.stack(moving_planes)
+def _stack_objective(fixed, moving, bins: int):
+    """Objective summing the MI of each plane pair of two (k, H, W) stacks,
+    in stack order, under one shared transform, so each evaluation is one
+    warp; -inf when the overlap is lost or any pair fails."""
     level_bins = _level_bins(bins, moving[0])
 
     def objective(p: AffineParams) -> float:
@@ -164,7 +149,7 @@ def _stack_objective(fixed_planes, moving_planes, bins: int):
         if np.count_nonzero(mask) < MIN_OVERLAP_FRACTION * mask.size:
             return -math.inf
         total = 0.0
-        for f_img, m_img in zip(fixed_planes, warped):
+        for f_img, m_img in zip(fixed, warped):
             try:
                 total += mi_between(f_img, m_img, mask, level_bins)
             except ValueError:
@@ -188,24 +173,21 @@ def register(
     haar = config.method != "pyramid"
     levels = 1 if config.method == "wavelet" else config.pyramid_levels
     if haar:
-        fixed_bands, moving_bands = dwt2(fixed), dwt2(moving)
+        moving_bands = dwt2(moving)
         n = 1 if config.subband_objective == "ll_only" else 4
-        fixed_planes, moving_planes = fixed_bands.planes[:n], moving_bands.planes[:n]
+        fixed_planes, moving_planes = dwt2(fixed)[:n], moving_bands[:n]
         run_config = replace(config, initial_params=scale_params_between_levels(
             config.initial_params, 0.5))
     else:
-        fixed_planes, moving_planes, run_config = [fixed], [moving], config
-    pyrs_f = [build_pyramid(p, levels) for p in fixed_planes]
-    pyrs_m = [build_pyramid(p, levels) for p in moving_planes]
-    num_levels = min(len(p) for p in pyrs_f + pyrs_m)
+        fixed_planes, moving_planes, run_config = fixed[None], moving[None], config
     objectives = [
-        _stack_objective([p[i] for p in pyrs_f], [p[i] for p in pyrs_m],
-                         config.histogram_bins)
-        for i in range(num_levels)
+        _stack_objective(f, m, config.histogram_bins)
+        for f, m in zip(build_pyramid(fixed_planes, levels),
+                        build_pyramid(moving_planes, levels))
     ]
     params, traces = _coarse_to_fine(objectives, run_config)
     if haar:
-        registered, mask = _reconstruct_from_bands(moving_bands, params)
+        registered, mask = _reconstruct_from_bands(moving_bands, params, fixed.shape)
         params = scale_params_between_levels(params, 2.0)
     else:
         registered, mask = warp(moving, params)

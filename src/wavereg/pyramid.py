@@ -10,10 +10,10 @@ binomial [1, 4, 6, 4, 1] / 16, which is normalized, symmetric and
 separable, and gives every parent node equal total weight.
 
 The filter is plain NumPy (``_correlate_reflect``) and only computes the
-rows, then the columns, that a level keeps. Every value has the same
-bytes as ``scipy.ndimage.correlate1d(mode="reflect")`` along axis 0 then
-axis 1 followed by ``[::2, ::2]``; SciPy is the test oracle, not a
-dependency.
+rows, then the columns, that a level keeps. Every plane, alone or in a
+(k, H, W) stack, gets the bytes of ``scipy.ndimage.correlate1d(mode=
+"reflect")`` along its axis 0 then axis 1 followed by ``[::2, ::2]``;
+SciPy is the test oracle, not a dependency.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ MIN_LEVEL_SIZE = 8
 
 def _correlate_reflect(x: np.ndarray, weights: np.ndarray, axis: int,
                        step: int = 1) -> np.ndarray:
-    """Correlate a 2-D float64 array along ``axis`` with an odd, symmetric
+    """Correlate a float64 array along ``axis`` with an odd, symmetric
     kernel, extending the borders by reflection, and return positions
     ``0, step, 2 * step, ...`` of that axis.
 
@@ -37,6 +37,7 @@ def _correlate_reflect(x: np.ndarray, weights: np.ndarray, axis: int,
     every value has the same bytes as ``correlate1d(mode="reflect")``.
     """
     radius = len(weights) // 2
+    axis %= x.ndim
     n = x.shape[axis]
     # source index of positions -radius .. n - 1 + radius: half-sample
     # symmetric extension (d c b a | a b c d | d c b a), periodic for any radius
@@ -47,7 +48,7 @@ def _correlate_reflect(x: np.ndarray, weights: np.ndarray, axis: int,
     def tap(offset: int) -> np.ndarray:
         # padded position ``offset`` is source position ``offset - radius``
         taps = slice(offset, offset + stop, step)
-        return padded[taps] if axis == 0 else padded[:, taps]
+        return padded[(slice(None),) * axis + (taps,)]
 
     out = tap(radius) * weights[radius]
     pair = np.empty_like(out)
@@ -59,16 +60,18 @@ def _correlate_reflect(x: np.ndarray, weights: np.ndarray, axis: int,
 
 
 def reduce_image(image: np.ndarray) -> np.ndarray:
-    """Low-pass filter and subsample by two; output is ceil(W/2) x ceil(H/2)."""
+    """Low-pass filter and subsample by two one (H, W) plane or each plane
+    of a (k, H, W) stack; a plane's output is ceil(W/2) x ceil(H/2)."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or min(image.shape) < 2:
+    if image.ndim not in (2, 3) or min(image.shape[-2:]) < 2:
         raise ValueError("image too small to reduce (needs at least 2x2)")
-    rows = _correlate_reflect(image, GENERATING_KERNEL, axis=0, step=2)
-    return _correlate_reflect(rows, GENERATING_KERNEL, axis=1, step=2)
+    rows = _correlate_reflect(image, GENERATING_KERNEL, axis=-2, step=2)
+    return _correlate_reflect(rows, GENERATING_KERNEL, axis=-1, step=2)
 
 
 def build_pyramid(image: np.ndarray, num_levels: int) -> list[np.ndarray]:
-    """Build a pyramid as a list of levels, level 0 the original image.
+    """Build a pyramid of one (H, W) plane or a (k, H, W) stack as a list
+    of levels, level 0 the original image.
 
     Levels whose smaller dimension would drop below ``MIN_LEVEL_SIZE`` are
     not built, so the list can be shorter than ``num_levels``.
@@ -77,7 +80,7 @@ def build_pyramid(image: np.ndarray, num_levels: int) -> list[np.ndarray]:
         raise ValueError(f"num_levels must be >= 1, got {num_levels}")
     levels = [np.asarray(image, dtype=np.float64)]
     for _ in range(num_levels - 1):
-        h, w = levels[-1].shape
+        h, w = levels[-1].shape[-2:]
         if min(-(-h // 2), -(-w // 2)) < MIN_LEVEL_SIZE:
             break
         levels.append(reduce_image(levels[-1]))

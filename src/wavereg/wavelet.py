@@ -8,63 +8,42 @@ The forward transform operates on non-overlapping 2x2 blocks
 
 LH carries column-wise (horizontal) differences, HL row-wise (vertical)
 ones. Odd dimensions are edge-replicated to even size before blocking and
-the original dimensions recorded so synthesis can crop back.
+synthesis crops back to the original dimensions it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SubBands:
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
-    original_width: int
-    original_height: int
-
-    @property
-    def planes(self) -> tuple[np.ndarray, ...]:
-        return (self.ll, self.lh, self.hl, self.hh)
-
-
-def dwt2(image: np.ndarray) -> SubBands:
-    """Decompose an image into its four half-resolution Haar sub-bands."""
+def dwt2(image: np.ndarray) -> np.ndarray:
+    """Decompose an image into its four half-resolution Haar sub-bands,
+    returned as one (4, H', W') stack in the order LL, LH, HL, HH."""
     image = np.asarray(image, dtype=np.float64)
     height, width = image.shape
     if width < 2 or height < 2:
         raise ValueError("image too small for DWT (needs at least 2x2)")
-    pad_y = height % 2
-    pad_x = width % 2
-    if pad_y or pad_x:
-        image = np.pad(image, ((0, pad_y), (0, pad_x)), mode="edge")
+    image = np.pad(image, ((0, height % 2), (0, width % 2)), mode="edge")
     a = image[0::2, 0::2]
     b = image[0::2, 1::2]
     c = image[1::2, 0::2]
     d = image[1::2, 1::2]
-    return SubBands(
-        ll=(a + b + c + d) / 2.0,
-        lh=(a - b + c - d) / 2.0,
-        hl=(a + b - c - d) / 2.0,
-        hh=(a - b - c + d) / 2.0,
-        original_width=width,
-        original_height=height,
-    )
+    return np.stack([
+        (a + b + c + d) / 2.0,
+        (a - b + c - d) / 2.0,
+        (a + b - c - d) / 2.0,
+        (a - b - c + d) / 2.0,
+    ])
 
 
-def idwt2(bands: SubBands) -> np.ndarray:
-    """Invert :func:`dwt2`, cropping back to the original dimensions."""
-    ll, lh, hl, hh = (np.asarray(p, dtype=np.float64) for p in bands.planes)
-    if not (ll.shape == lh.shape == hl.shape == hh.shape):
-        raise ValueError("sub-band planes have mismatched dimensions")
+def idwt2(bands: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Invert :func:`dwt2` on a (4, H', W') stack, cropping to ``shape``,
+    the (height, width) of the image it came from."""
+    ll, lh, hl, hh = np.asarray(bands, dtype=np.float64)
     height, width = ll.shape
     out = np.empty((2 * height, 2 * width), dtype=np.float64)
     out[0::2, 0::2] = (ll + lh + hl + hh) / 2.0
     out[0::2, 1::2] = (ll - lh + hl - hh) / 2.0
     out[1::2, 0::2] = (ll + lh - hl - hh) / 2.0
     out[1::2, 1::2] = (ll - lh - hl + hh) / 2.0
-    return out[: bands.original_height, : bands.original_width]
+    return out[: shape[0], : shape[1]]

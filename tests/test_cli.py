@@ -181,6 +181,19 @@ def test_compare_bad_header_exit_1(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("p0,pairs/p0/fixed.pgm\n", "manifest line 2: needs id, fixed_path and moving_path"),
+    ("p0,pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n"
+     "p0,pairs/p0/moving.pgm,pairs/p0/fixed.pgm\n", "manifest line 3: repeated id 'p0'"),
+])
+def test_compare_bad_manifest_row_exit_1(tmp_path, capsys, rows, message):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,fixed_path,moving_path\n" + rows)
+    assert main(["compare", str(manifest), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _report(out):
     with open(out / "report.csv", newline="") as fh:
         return list(csv.DictReader(fh))

@@ -124,6 +124,23 @@ def test_config_validation():
         OptimizerConfig(param_scales=(1.0,) * 5).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("growth_factor", math.nan), ("growth_factor", math.inf),
+    ("epsilon", math.nan), ("epsilon", math.inf),
+    ("initial_radius", math.nan), ("initial_radius", math.inf),
+    ("shrink_exponent", math.nan), ("shrink_exponent", math.inf),
+    ("shrink_exponent", 0.0), ("shrink_exponent", -0.25),
+    ("param_scales", (500.0, math.nan, 20.0, 3.0, 3.0, 3.0)),
+    ("param_scales", (500.0, 500.0, math.inf, 3.0, 3.0, 3.0)),
+])
+def test_unworkable_settings_name_the_field(field, value):
+    # a NaN growth factor or an infinite radius used to pass validation
+    # and "converge" at the start point; a non-positive shrink exponent
+    # never shrinks the radius
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value}).validate()
+
+
 def test_trace_csv(tmp_path):
     _, trace = optimize(quadratic, AffineParams(), TRANS_ONLY)
     path = tmp_path / "trace.csv"

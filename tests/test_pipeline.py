@@ -219,7 +219,7 @@ def test_config_validation():
 def test_reconstruct_from_bands_identity():
     rng = np.random.default_rng(8)
     img = rng.uniform(0, 255, (64, 64))
-    registered, mask = _reconstruct_from_bands(dwt2(img), AffineParams())
+    registered, mask = _reconstruct_from_bands(dwt2(img), AffineParams(), img.shape)
     assert mask.all()
     assert np.abs(registered - img).max() < 1e-9
 
@@ -269,6 +269,18 @@ def test_config_validation_covers_metric_and_optimizer():
         RegistrationConfig(optimizer=OptimizerConfig(growth_factor=1.0)).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("growth_factor", math.nan), ("initial_radius", math.inf), ("shrink_exponent", 0.0),
+])
+def test_unworkable_optimizer_settings_fail_fast(field, value):
+    # these used to "succeed" at the identity with a NaN or inf final radius
+    fixed, moving, _ = generate_pair(FixtureSpec(size=64, truth=AffineParams(tx=3), seed=2))
+    cfg = _config("pyramid")
+    cfg.optimizer = OptimizerConfig(max_iterations=100, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        register(fixed, moving, cfg)
+
+
 def _rotated_invert_pair():
     fixed, moving, _ = generate_pair(
         FixtureSpec(size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05),
@@ -301,6 +313,15 @@ GOLDEN_DIGESTS = {
     "pyramid": "c30761a2bffb6a48861444d1cb0311a652efb525a3f4131c706d873b8c2a75bd",
     "wavelet": "34a88fcc38bcbb230bb8758ac8afa25af900a5bf1399c1973aeacb9c228b50e0",
     "dwt_pyramid": "c542b30bed11ef0b451eb86d194bd56f76bc52a700c0da3f09b9a3ca4c2cfb7e",
+    "dwt_pyramid-ll_only": "7b4136f7fa72b18292191e21bd06bafe5235e6ab6b2a42a6d15f6b762f5259c0",
+    "dwt_pyramid-61x59": "f84d183a9bc658f34253b96d07af6c56fad2373929d848a7fb7eea777c45bbfb",
+}
+
+# cases beyond a method's defaults: (method, config fields, crop of the pair);
+# the odd crop goes through dwt2's edge padding and idwt2's crop
+GOLDEN_CASES = {
+    "dwt_pyramid-ll_only": ("dwt_pyramid", {"subband_objective": "ll_only"}, (64, 64)),
+    "dwt_pyramid-61x59": ("dwt_pyramid", {}, (61, 59)),
 }
 
 
@@ -312,8 +333,9 @@ def test_golden_digest(method):
     and SciPy 1.17.1 and are tied to that build: another NumPy may round a
     reduction differently and change them with no change in wavereg."""
     fixed, moving = _rotated_invert_pair()
-    r = register(fixed, moving, RegistrationConfig(
-        method=method, optimizer=OptimizerConfig(seed=9, max_iterations=40)))
+    case, fields, (h, w) = GOLDEN_CASES.get(method, (method, {}, (64, 64)))
+    r = register(fixed[:h, :w], moving[:h, :w], RegistrationConfig(
+        method=case, optimizer=OptimizerConfig(seed=9, max_iterations=40), **fields))
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(r.params.as_vector(), dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(r.registered, dtype="<f8").tobytes())

@@ -98,3 +98,19 @@ def test_reduce_is_low_pass():
     img = rng.normal(0.0, 1.0, (128, 128))
     out = reduce_image(img)
     assert out.std() < img.std()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (31, 30), (61, 59), (64, 64)])
+def test_stack_equals_per_plane_bytes(shape):
+    # a (k, H, W) stack reduces plane by plane, byte for byte, odd sizes too
+    stack = np.random.default_rng(sum(shape)).normal(size=(4,) + shape) * 50.0
+    got = reduce_image(stack)
+    assert got.shape == (4, -(-shape[0] // 2), -(-shape[1] // 2))
+    for plane, reduced in zip(stack, got):
+        assert reduced.tobytes() == reduce_image(plane).tobytes()
+    levels = build_pyramid(stack, 4)
+    for k, plane in enumerate(stack):
+        per_plane = build_pyramid(plane, 4)
+        assert len(levels) == len(per_plane)
+        for level, want in zip(levels, per_plane):
+            assert level[k].tobytes() == want.tobytes()
