@@ -113,7 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args, method: str) -> RegistrationConfig:
-    return RegistrationConfig(
+    """``method``'s config, validated before any output or registration."""
+    config = RegistrationConfig(
         method=method,
         pyramid_levels=args.levels,
         histogram_bins=args.bins,
@@ -121,6 +122,8 @@ def _make_config(args, method: str) -> RegistrationConfig:
                                   max_iterations=args.max_iterations),
         subband_objective=getattr(args, "subband_objective", "sum_all_bands"),
     )
+    config.validate()
+    return config
 
 
 def _cmd_synth(args) -> int:
@@ -141,7 +144,6 @@ def _cmd_synth(args) -> int:
 
 
 def _write_result(result, fixed, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     save_pgm(result.registered, os.path.join(out_dir, "registered.pgm"))
     save_pgm(result.mask.astype(np.float64) * 255.0,
              os.path.join(out_dir, "mask.pgm"))
@@ -164,9 +166,10 @@ def _write_result(result, fixed, out_dir) -> None:
 
 
 def _cmd_register(args) -> int:
+    config = _make_config(args, METHOD_ALIASES[args.method])
     fixed = load_pgm(args.fixed)
     moving = load_pgm(args.moving)
-    config = _make_config(args, METHOD_ALIASES[args.method])
+    os.makedirs(args.out, exist_ok=True)
     result = register(fixed, moving, config)
     _write_result(result, fixed, args.out)
     return 0
@@ -232,17 +235,13 @@ def _register_pair(fixed_path, moving_path, configs) -> dict:
     return outcomes
 
 
-def compare_pairs(pairs, args):
-    """Run the three methods on every pair; returns report rows.
+def compare_pairs(pairs, configs):
+    """Run each method's config on every pair; returns report rows.
 
     A pair that cannot be read, or a registration that fails, gets rows
     whose ``status`` is ``error: <message>`` and whose metric cells are
     empty; winners are picked among the methods that succeeded on the pair.
-    An invalid option fails the whole command before any registration.
     """
-    configs = {m: _make_config(args, m) for m in METHOD_ALIASES.values()}
-    for config in configs.values():
-        config.validate()
     rows = []
     wins = {m: {"mi": 0, "cc": 0} for m in configs}
     for pair_id, fixed_path, moving_path in sorted(pairs):
@@ -283,8 +282,9 @@ def _cmd_compare(args) -> int:
     if not pairs:
         print("error: empty manifest", file=sys.stderr)
         return 2
-    rows = compare_pairs(pairs, args)
+    configs = {m: _make_config(args, m) for m in METHOD_ALIASES.values()}
     os.makedirs(args.out, exist_ok=True)
+    rows = compare_pairs(pairs, configs)
     report_path = os.path.join(args.out, "report.csv")
     with open(report_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)

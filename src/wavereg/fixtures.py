@@ -16,6 +16,7 @@ oracle) without importing SciPy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,10 @@ class FixtureSpec:
             raise ValueError(f"unknown base pattern {self.base_pattern!r}")
         if self.size < 64:
             raise ValueError(f"size must be >= 64, got {self.size}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # also rejects NaN
+            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        if self.remap == "gamma" and not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
 
 
 def _render_phantom(size: int) -> np.ndarray:

@@ -74,8 +74,10 @@ def load_pgm(path) -> np.ndarray:
 
 def save_pgm(image: np.ndarray, path) -> None:
     """Write an 8-bit binary PGM (P5); intensities are rounded half-up and
-    clamped into [0, 255]."""
+    clamped into [0, 255]. Non-finite pixels raise ``ValueError``."""
     image = np.atleast_2d(np.asarray(image, dtype=np.float64))
+    if not np.isfinite(image).all():
+        raise ValueError("image has non-finite pixels (NaN or Inf)")
     height, width = image.shape
     samples = np.clip(np.floor(image + 0.5), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:

@@ -1,11 +1,12 @@
 """Derivative-free (1+1) evolution strategy over the six affine parameters.
 
 Each generation draws a 6-vector of standard normal deviates, scales it by
-the current search radius and the per-parameter step scales, and adds it
-to the parent. Improvements are accepted and grow the radius by the
-growth factor; failures shrink it by growth_factor ** -shrink_exponent.
-The loop stops when the radius drops below epsilon or the iteration
-budget is spent. Fully deterministic for a fixed seed.
+the current search radius and ``PARAM_SCALES``, and adds it to the parent.
+Improvements are accepted and grow the radius by ``GROWTH_FACTOR``;
+failures shrink it by ``SHRINK_FACTOR``. The loop stops when the radius
+drops below ``EPSILON`` or the iteration budget is spent. This step-size
+rule (Styner et al. 2000, IEEE TMI 19:153) is fixed: a run is set by its
+budget and seed alone, and is fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,33 +18,26 @@ import numpy as np
 
 from .transform import AffineParams
 
-# With the default initial radius of 1e-3 these give mutation sigmas of
-# 0.5 px in translation, ~1.1 deg in rotation and 0.003 in scale/shear,
-# which the search can still grow or shrink multiplicatively.
-DEFAULT_PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
+GROWTH_FACTOR = 1.01
+SHRINK_FACTOR = GROWTH_FACTOR ** -0.25
+EPSILON = 1.5e-6
+INITIAL_RADIUS = 1e-3
+# With INITIAL_RADIUS these give mutation sigmas of 0.5 px in translation,
+# ~1.1 deg in rotation and 0.003 in scale/shear, which the search can still
+# grow or shrink multiplicatively.
+PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
 
 
 @dataclass
 class OptimizerConfig:
-    growth_factor: float = 1.01
-    epsilon: float = 1.5e-6
-    initial_radius: float = 1e-3
     max_iterations: int = 500
-    shrink_exponent: float = 0.25
-    param_scales: tuple[float, ...] = DEFAULT_PARAM_SCALES
     seed: int = 0
 
     def validate(self) -> None:
-        for name, low in (("growth_factor", 1), ("epsilon", 0),
-                          ("initial_radius", self.epsilon), ("shrink_exponent", 0)):
-            value = getattr(self, name)
-            if not low < value < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be > {low} and finite, got {value}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if len(self.param_scales) != 6 or not all(
-                0 <= s < math.inf for s in self.param_scales):
-            raise ValueError("param_scales must be 6 finite nonnegative values")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -73,12 +67,12 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
     if not math.isfinite(f0):
         raise ValueError("invalid start: objective is not finite at p0")
     rng = np.random.default_rng(config.seed)
-    scales = np.asarray(config.param_scales, dtype=np.float64)
-    radius = config.initial_radius
+    scales = np.asarray(PARAM_SCALES, dtype=np.float64)
+    radius = INITIAL_RADIUS
     # only strict improvements are accepted, so the parent is the best so far
     trace = OptimizerTrace(best_value=f0, best_params=p0)
     for it in range(config.max_iterations):
-        if radius < config.epsilon:
+        if radius < EPSILON:
             break
         step = radius * scales * rng.standard_normal(6)
         candidate = AffineParams.from_vector(trace.best_params.as_vector() + step)
@@ -95,10 +89,10 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
         if accepted:
             trace.best_value = f_cand
             trace.best_params = candidate
-            radius *= config.growth_factor
+            radius *= GROWTH_FACTOR
         else:
-            radius *= config.growth_factor ** (-config.shrink_exponent)
-    if radius < config.epsilon:
+            radius *= SHRINK_FACTOR
+    if radius < EPSILON:
         trace.termination_reason = "radius_below_epsilon"
     return trace.best_params, trace
 

@@ -1,16 +1,16 @@
-"""Six-parameter affine model, center-pixel matrix composition and warping.
+"""Six-parameter affine model, center-adjusted matrices and warping.
 
 Parameter conventions (reported, not internally flipped):
   - positive tx shifts image content left, positive ty shifts it up;
   - theta is measured counterclockwise from the x-axis;
   - k is the shear factor along x; sx, sy are positive scales.
 
-``compose_matrix`` chains Translation * Rotation * Skew * Scaling.
-``center_adjusted`` rebases the linear part on the image center pixel
-(x_t, y_t), so H @ v == A @ (v - c) + c + t. ``warp`` treats that matrix
-as the map from output (fixed-grid) coordinates to source coordinates in
-the moving image and resamples bilinearly, which makes the sign
-conventions above hold for the rendered image.
+The linear part A chains Rotation * Skew * Scaling. ``center_adjusted``
+applies it about a center pixel c and adds the translation t, so
+H @ v == A @ (v - c) + c + t. ``warp`` treats that matrix, about the
+image center, as the map from output (fixed-grid) coordinates to source
+coordinates in the moving image and resamples bilinearly, which makes the
+sign conventions above hold for the rendered image.
 
 ``warp`` is a NumPy gather kernel. It finds each masked pixel's four
 source corners and weights once for all planes of a stack, gathers the
@@ -68,15 +68,6 @@ def _linear_part(params: AffineParams) -> np.ndarray:
     ])
 
 
-def compose_matrix(params: AffineParams) -> np.ndarray:
-    """Homogeneous 3x3 matrix: translation * rotation * skew * scaling."""
-    m = np.eye(3)
-    m[:2, :2] = _linear_part(params)
-    m[0, 2] = params.tx
-    m[1, 2] = params.ty
-    return m
-
-
 def center_adjusted(params: AffineParams, center: tuple[float, float]) -> np.ndarray:
     """Matrix applying the linear part about ``center`` plus the translation."""
     a = _linear_part(params)
@@ -89,19 +80,6 @@ def center_adjusted(params: AffineParams, center: tuple[float, float]) -> np.nda
     ])
 
 
-def invert_matrix(m: np.ndarray) -> np.ndarray:
-    """Invert a homogeneous affine matrix, keeping the bottom row exact."""
-    a = np.asarray(m, dtype=np.float64)[:2, :2]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det == 0:
-        raise ValueError("singular affine matrix")
-    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    out = np.eye(3)
-    out[:2, :2] = a_inv
-    out[:2, 2] = -a_inv @ np.asarray(m, dtype=np.float64)[:2, 2]
-    return out
-
-
 def invert_params(params: AffineParams) -> AffineParams:
     """Exact parameter-space inverse under the center-adjusted convention.
 
@@ -109,7 +87,11 @@ def invert_params(params: AffineParams) -> AffineParams:
     triangular (positive diagonal); the translation inverts to -A^{-1} t,
     independent of the center.
     """
-    a_inv = invert_matrix(compose_matrix(params))[:2, :2]
+    a = _linear_part(params)
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if det == 0:
+        raise ValueError("singular affine matrix")
+    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
     theta = float(np.arctan2(a_inv[1, 0], a_inv[0, 0]))
     c, s = np.cos(theta), np.sin(theta)
     rot_t = np.array([[c, s], [-s, c]])

@@ -22,9 +22,9 @@ from wavereg.metric import (
     mi_between,
     mutual_information,
 )
-from wavereg.optimizer import optimize
+from wavereg.optimizer import GROWTH_FACTOR, SHRINK_FACTOR, optimize
 from wavereg.pyramid import GENERATING_KERNEL, reduce_image
-from wavereg.transform import compose_matrix, invert_params
+from wavereg.transform import center_adjusted, invert_params
 from wavereg.wavelet import dwt2, idwt2
 
 
@@ -95,16 +95,15 @@ def test_criterion_2_property_suite():
             theta=rng.uniform(-1, 1), sx=rng.uniform(0.5, 2),
             sy=rng.uniform(0.5, 2), k=rng.uniform(-0.5, 0.5),
         )
-        prod = compose_matrix(p) @ compose_matrix(invert_params(p))
+        origin = (0.0, 0.0)
+        prod = center_adjusted(p, origin) @ center_adjusted(invert_params(p), origin)
         assert np.abs(prod - np.eye(3)).max() < 1e-9
 
     # optimizer radius bookkeeping, exact
     ocfg = OptimizerConfig(seed=1, max_iterations=300)
     _, trace = optimize(lambda p: -(p.tx - 2.0) ** 2 - p.ty ** 2, AffineParams(), ocfg)
     for prev, cur in zip(trace.records, trace.records[1:]):
-        factor = ocfg.growth_factor if prev.accepted else (
-            ocfg.growth_factor ** -ocfg.shrink_exponent
-        )
+        factor = GROWTH_FACTOR if prev.accepted else SHRINK_FACTOR
         assert cur.radius == prev.radius * factor
 
     # full-pipeline determinism under a fixed seed

@@ -53,6 +53,21 @@ def test_synth_unusable_transform_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, field", [
+    (["--remap", "gamma", "--gamma", "nan"], "gamma"),
+    (["--remap", "gamma", "--gamma", "0"], "gamma"),
+    (["--noise-sigma", "nan"], "noise_sigma"),
+    (["--noise-sigma", "inf"], "noise_sigma"),
+])
+def test_synth_non_finite_setting_writes_nothing(tmp_path, capsys, option, field):
+    # a NaN gamma used to write a moving.pgm of only 0 and 255, and a NaN
+    # noise sigma silently dropped the noise
+    out = tmp_path / "g"
+    assert main(["synth", "--size", "64", *option, "-o", str(out)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (out / "moving.pgm").exists()
+
+
 def test_register_identity_pair(tmp_path):
     fx = tmp_path / "fx"
     _synth(fx, seed=1)
@@ -93,17 +108,53 @@ def test_register_missing_input_exit_1(tmp_path, capsys):
     assert "nope.pgm" in capsys.readouterr().err
 
 
-def test_register_unwritable_output_exit_1(tmp_path, capsys):
+def _register_spy(monkeypatch):
+    calls = []
+    monkeypatch.setattr("wavereg.cli.register", lambda *args: calls.append(args))
+    return calls
+
+
+def test_register_unwritable_output_exit_1(tmp_path, capsys, monkeypatch):
+    # -o is created before registering, so a bad one fails before the run
     fx = tmp_path / "fx"
     _synth(fx, seed=1)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
+    calls = _register_spy(monkeypatch)
     rc = main([
         "register", "--method", "pyramid", str(fx / "fixed.pgm"),
         str(fx / "moving.pgm"), "-o", str(blocker / "out"),
     ])
     assert rc == 1
+    assert calls == []
     capsys.readouterr()
+
+
+def test_compare_unwritable_output_fails_before_registering(tmp_path, capsys,
+                                                             monkeypatch):
+    root = _make_pairs(tmp_path, 1)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    calls = _register_spy(monkeypatch)
+    assert main(["compare", str(root), "-o", str(blocker / "out")]) == 1
+    assert calls == []
+    capsys.readouterr()
+
+
+def test_register_negative_seed_fails_before_any_level(tmp_path, capsys, monkeypatch):
+    # seed -1 used to run levels 2 and 1 (seeds 1 and 0), then fail at level 0
+    fx = tmp_path / "fx"
+    _synth(fx, seed=1)
+    calls = []
+    monkeypatch.setattr("wavereg.pipeline.optimize", lambda *args: calls.append(args))
+    rc = main([
+        "register", "--method", "pyramid", "--seed", "-1",
+        str(fx / "fixed.pgm"), str(fx / "moving.pgm"), "-o", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_register_bad_bins_names_the_cause(tmp_path, capsys):
@@ -242,10 +293,13 @@ def test_compare_survives_failed_pairs(tmp_path, capsys):
 
 def test_compare_bad_option_fails_before_registering(tmp_path, capsys):
     root = _make_pairs(tmp_path, 1)
-    rc = main(["compare", str(root), "--bins", "1", "-o", str(tmp_path / "o")])
-    assert rc == 1
-    assert "histogram_bins must be >= 2" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # a negative seed used to write a report whose every row was an error
+    for option, message in ((["--bins", "1"], "histogram_bins must be >= 2"),
+                            (["--seed", "-1"], "seed must be >= 0, got -1")):
+        rc = main(["compare", str(root), *option, "-o", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_help_documents_exit_codes(capsys):

@@ -29,7 +29,7 @@ PAIR_DIGESTS = {
     ("noise_smoothed", 64): "703d986346675315bcd878635f3a06e1df9d9ba523747c541b4b2ba412044ef5",
     ("noise_smoothed", 97): "493625db8e7207cef060bd16647fbd49aa8e163a17c9b452dc281907c5aaa5b0",
 }
-from wavereg.transform import compose_matrix
+from wavereg.transform import center_adjusted
 
 
 def test_identity_spec_gives_equal_pair():
@@ -111,7 +111,7 @@ def test_sidecar_recovery_inverts_truth():
     r = side["recovery"]
     assert r["center"] == [63.5, 63.5]
     rec = AffineParams(r["tx"], r["ty"], r["theta_rad"], r["sx"], r["sy"], r["k"])
-    prod = compose_matrix(truth) @ compose_matrix(rec)
+    prod = center_adjusted(truth, (0.0, 0.0)) @ center_adjusted(rec, (0.0, 0.0))
     assert np.abs(prod - np.eye(3)).max() < 1e-9
     assert side["spec"]["size"] == 128
 

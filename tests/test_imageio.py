@@ -54,6 +54,16 @@ def test_save_constant(tmp_path):
     assert path.read_bytes().endswith(bytes([7] * 9))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_save_rejects_non_finite(tmp_path, bad):
+    # casting NaN to uint8 is undefined; it used to write a silent 0 or 255
+    image = np.full((4, 4), 100.0)
+    image[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        save_pgm(image, tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_pgm_roundtrip_integer_image(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, (13, 9)).astype(np.float64)

@@ -265,20 +265,22 @@ def test_bad_histogram_bins_fails_fast(method, bins):
 def test_config_validation_covers_metric_and_optimizer():
     with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
         RegistrationConfig(histogram_bins=1).validate()
-    with pytest.raises(ValueError, match="growth_factor must be > 1"):
-        RegistrationConfig(optimizer=OptimizerConfig(growth_factor=1.0)).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        RegistrationConfig(optimizer=OptimizerConfig(seed=-1)).validate()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("growth_factor", math.nan), ("initial_radius", math.inf), ("shrink_exponent", 0.0),
-])
-def test_unworkable_optimizer_settings_fail_fast(field, value):
-    # these used to "succeed" at the identity with a NaN or inf final radius
+@pytest.mark.parametrize("field, value", [("seed", -1), ("max_iterations", -1)])
+def test_unworkable_optimizer_settings_fail_fast(field, value, monkeypatch):
+    # a negative seed used to run the coarser levels (seeds 1 and 0) and
+    # fail only at the finest one, in the random generator
+    calls = []
+    monkeypatch.setattr("wavereg.pipeline.optimize", lambda *a: calls.append(a))
     fixed, moving, _ = generate_pair(FixtureSpec(size=64, truth=AffineParams(tx=3), seed=2))
     cfg = _config("pyramid")
-    cfg.optimizer = OptimizerConfig(max_iterations=100, **{field: value})
+    cfg.optimizer = OptimizerConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         register(fixed, moving, cfg)
+    assert calls == []
 
 
 def _rotated_invert_pair():

@@ -1,6 +1,10 @@
 """The README's library documentation stays true to the package."""
 
+import dataclasses
+import re
 from pathlib import Path
+
+import pytest
 
 import wavereg
 from wavereg.fixtures import FixtureSpec, write_fixture
@@ -29,3 +33,12 @@ def test_root_exports_resolve_and_are_documented():
     for name in wavereg.__all__:
         assert getattr(wavereg, name) is not None, name
         assert f"`{name}`" in section, name
+
+
+@pytest.mark.parametrize("config", [wavereg.RegistrationConfig, wavereg.OptimizerConfig])
+def test_documented_config_fields_match(config):
+    # "`X` holds `a`, `b` ... and `z`." up to the first period or semicolon
+    section = " ".join(_library_section().split())  # undo the wrapping
+    listed = re.search(rf"`{config.__name__}` holds ([^.;]*)", section).group(1)
+    documented = re.findall(r"`([a-z_]+)`", listed)
+    assert documented == [f.name for f in dataclasses.fields(config)]
