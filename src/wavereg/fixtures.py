@@ -66,7 +66,8 @@ class FixtureSpec:
             raise ValueError(f"size must be >= 64, got {self.size}")
         if not 0 <= self.noise_sigma < math.inf:  # also rejects NaN
             raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
-        if self.remap == "gamma" and not 0 < self.gamma < math.inf:
+        # a NaN gamma would reach truth.json as the non-JSON token NaN
+        if not math.isfinite(self.gamma) or self.remap == "gamma" and self.gamma <= 0:
             raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
 
 

@@ -12,7 +12,7 @@ and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
 with the top edge counted in the last bin. ``np.bincount`` over the
 flattened (fixed, moving) index then fills the joint histogram, in passes of
-at most ``_CHUNK`` samples.
+at most ``_CHUNK`` samples. The per-level objective shares these kernels.
 """
 
 from __future__ import annotations
@@ -36,23 +36,47 @@ class JointHistogram:
 # about 2 MB back to the kernel and page-fault it in again.
 _CHUNK = 16384
 
+# a range within 16 eps of its magnitude is flat: bilinear warping leaves a
+# constant region up to about 2.5 eps of rounding spread
+_FLAT_TOL = 16 * np.finfo(np.float64).eps
 
-def _bin_index(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+
+def _degenerate(fmin: float, fmax: float, mmin: float, mmax: float) -> bool:
+    """Whether either masked range is flat; ValueError if a bound is not finite."""
+    if not all(map(math.isfinite, (fmin, fmax, mmin, mmax))):
+        raise ValueError("non-finite intensities in the overlap")
+    return (fmax - fmin <= _FLAT_TOL * max(-fmin, fmax)
+            or mmax - mmin <= _FLAT_TOL * max(-mmin, mmax))
+
+
+def _bin_index(values: np.ndarray, lo, hi, bins: int) -> np.ndarray:
     """Index of the ``linspace(lo, hi, bins + 1)`` bin holding each value in
-    [lo, hi]: the last edge not above it, the top edge in the last bin."""
-    edges = np.linspace(lo, hi, bins + 1)
-    lower = edges[:-1]
-    upper = edges[1:].copy()
-    upper[-1] = np.inf  # the last bin includes the top edge
-    index = ((values - lo) / (hi - lo) * bins).astype(np.intp)
+    [lo, hi]: the last edge not above it, the top edge in the last bin.
+    ``values`` is one row with scalar bounds, or (r, n) rows with (r,)
+    bounds, each row binned exactly as it would be alone."""
+    lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
+    rows = values.reshape(len(lo), -1)
+    step = (hi - lo) / bins
+    if step.all():  # linspace's edges; it divides first where the step underflows
+        edges = np.arange(bins + 1.0) * step + lo
+    else:
+        edges = np.array([np.linspace(a, b, bins + 1) for a, b in zip(lo[:, 0], hi[:, 0])])
+    edges[:, -1] = np.inf  # the last bin includes the top edge
+    lower = edges.ravel()
+    upper = lower[1:]
+    index = ((rows - lo) / (hi - lo) * bins).astype(np.intp)
     np.minimum(index, bins - 1, out=index)
+    # row r's edges start at r * (bins + 1); no row leaves its own, as
+    # index 0 never steps down and the last bin never steps up
+    offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None] if lo.size > 1 else 0
+    index += offsets
     # the arithmetic index can miss an edge by an ULP; when edges closer
     # than an ULP repeat, one step is not always enough
     while True:
-        down = values < lower[index]
-        up = values >= upper[index]
+        down = rows < lower[index]
+        up = rows >= upper[index]
         if not (down.any() or up.any()):
-            return index
+            return (index - offsets).reshape(values.shape)
         index -= down
         index += up
 
@@ -79,13 +103,7 @@ def joint_histogram(
         raise ValueError("no overlap: empty mask")
     fmin, fmax = float(fvals.min()), float(fvals.max())
     mmin, mmax = float(mvals.min()), float(mvals.max())
-    if not (math.isfinite(fmin) and math.isfinite(fmax)
-            and math.isfinite(mmin) and math.isfinite(mmax)):
-        raise ValueError("non-finite intensities in the overlap")
-    # a range within 16 eps of its magnitude is flat: bilinear warping
-    # leaves a constant region up to about 2.5 eps of rounding spread
-    tol = 16 * np.finfo(np.float64).eps
-    if fmax - fmin <= tol * max(-fmin, fmax) or mmax - mmin <= tol * max(-mmin, mmax):
+    if _degenerate(fmin, fmax, mmin, mmax):
         counts = np.zeros((bins, bins))
         counts[0, 0] = fvals.size
         return JointHistogram(counts=counts, total=float(fvals.size), degenerate=True)
@@ -99,16 +117,21 @@ def joint_histogram(
     return JointHistogram(counts=counts, total=float(counts.sum()))
 
 
+def _mi_bits(counts: np.ndarray, total) -> list[float]:
+    """MI in bits of each (b, b) histogram of ``total`` samples in a stack of
+    counts: one ``np.sum`` over its own nonzero cells, as if it were alone."""
+    p = counts / total
+    outer = np.add.reduce(p, 2)[:, :, None] * np.add.reduce(p, 1)[:, None, :]
+    nz = p > 0
+    cells = p[nz]
+    terms = cells * np.log2(cells / outer[nz])
+    stops = nz.reshape(len(p), -1).sum(1).cumsum().tolist()
+    return [float(np.sum(terms[a:b])) for a, b in zip([0] + stops, stops)]
+
+
 def mutual_information(hist: JointHistogram) -> float:
     """MI in bits: sum p(l,k) log2[p(l,k) / (p_Z(k) p_N(l))], zero cells skipped."""
-    if hist.degenerate:
-        return 0.0
-    p = hist.counts / hist.total
-    p_fixed = p.sum(axis=1)
-    p_moving = p.sum(axis=0)
-    nz = p > 0
-    outer = np.outer(p_fixed, p_moving)
-    return float(np.sum(p[nz] * np.log2(p[nz] / outer[nz])))
+    return 0.0 if hist.degenerate else _mi_bits(hist.counts[None], hist.total)[0]
 
 
 def mi_between(

@@ -12,14 +12,15 @@ image center, as the map from output (fixed-grid) coordinates to source
 coordinates in the moving image and resamples bilinearly, which makes the
 sign conventions above hold for the rendered image.
 
-``warp`` is a NumPy gather kernel. It finds each masked pixel's four
+``resample`` is a NumPy gather kernel. It finds each masked pixel's four
 source corners and weights once for all planes of a stack, gathers the
 corner values with one ``take`` and sums the weighted terms with SciPy's
 own order-1 weights and summation order, so its bytes equal
 ``scipy.ndimage.map_coordinates(order=1, mode="constant")`` (the test
-oracle) in about half the time per pixel. Rows are resampled in passes of
-about 4,096 pixels, and the largest temporary is reused across calls, so
-a 128x128 or 256x256 call does not page-fault fresh heap memory.
+oracle) in about half the time per pixel. It returns only the masked
+samples, all the registration objective reads; ``warp`` scatters them into
+zeros. Passes of about 4,096 pixels and temporaries reused across calls
+keep a 128x128 or 256x256 call from page-faulting fresh heap memory.
 """
 
 from __future__ import annotations
@@ -118,11 +119,11 @@ _PASS = 4096
 _local = threading.local()
 
 
-def _gather_buffer(size: int) -> np.ndarray:
+def _buffer(size: int) -> np.ndarray:
     """A float64 buffer of at least ``size`` values, kept per thread, that
-    takes each pass's corner values. It is the largest temporary of a
-    ``warp`` call (four values per plane and pixel), so reusing it keeps a
-    call from allocating, and page-faulting, that much memory."""
+    takes a ``resample`` call's samples and each pass's corner values, its
+    largest temporaries; reusing it keeps a call from allocating, and
+    page-faulting, that much memory."""
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < size:
         buf = _local.buf = np.empty(size)
@@ -141,30 +142,21 @@ def _grid(height: int, width: int):
     return constants
 
 
-def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
-    """Resample the moving image on its own grid under ``params``, applied
-    about the image center.
+def resample(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
+    """``warp``'s masked pixels: the (k, n) samples equal to
+    ``warp(moving, params)[0][:, mask]`` byte for byte, and the mask. The
+    samples are a view of a per-thread buffer that the next call reuses.
 
-    ``moving`` is one (H, W) plane or a (k, H, W) stack of planes that
-    share a grid. Returns the warped plane or stack, in the input's shape,
-    and one (H, W) validity mask that is set only where the source
-    coordinate lies fully inside the bilinear support; everywhere else the
-    output is 0. The source coordinates, the mask, the corner indices and
-    the weights are computed once for all planes, and each plane equals
-    its own 2-D ``warp`` bit for bit.
-
-    The result equals ``scipy.ndimage.map_coordinates(order=1,
-    mode="constant")`` byte for byte. The masked pixels are resampled one
-    block of rows at a time, in passes of at most ``_PASS`` pixels (or one
-    row, if a row is longer). A pixel's weights follow SciPy's order-1
-    rule: with f the fraction of a source coordinate, w0 = 1 - f and
-    w1 = 1 - w0 (not always equal to f). Each corner term is
-    (v * wy) * wx, and the four terms are summed in SciPy's order; adding
-    0.0 last matches SciPy's sum starting from 0.0, which turns a -0.0
-    total into +0.0. On the last column or row the second corner lies
-    outside the plane, where its weight is exactly 0: its index reads the
-    next row's first pixel, or is clipped to the last pixel. That is why
-    the planes must be finite: 0 * NaN is NaN, where SciPy adds 0.
+    The masked pixels are resampled one block of rows at a time, in passes
+    of at most ``_PASS`` pixels (or one row, if a row is longer). A pixel's
+    weights follow SciPy's order-1 rule: with f the fraction of a source
+    coordinate, w0 = 1 - f and w1 = 1 - w0 (not always equal to f). Each
+    corner term is (v * wy) * wx, and the four terms are summed in SciPy's
+    order; adding 0.0 last matches SciPy's sum starting from 0.0, which
+    turns a -0.0 total into +0.0. On the last column or row the second
+    corner lies outside the plane, where its weight is exactly 0: its index
+    reads the next row's first pixel, or is clipped to the last pixel. That
+    is why the planes must be finite: 0 * NaN is NaN, where SciPy adds 0.
     """
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
@@ -172,11 +164,12 @@ def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
     xs, ys, upper, corners = _grid(height, width)
     planes = moving.reshape(-1, height * width)
     k = len(planes)
-    out = np.zeros(planes.shape)
     mask = np.empty((height, width), dtype=bool)
     cols = m[:, 0] * xs
     rows = max(1, _PASS // width)
-    gathered = _gather_buffer(k * 4 * min(rows, height) * width)
+    buf = _buffer(k * (height + 4 * min(rows, height)) * width)
+    samples, gathered = buf[:k * height * width].reshape(k, -1), buf[k * height * width:]
+    done = 0
     for top in range(0, height, rows):
         coords = cols + m[:, 1] * ys[top:top + rows]
         coords += m[:, 2]
@@ -201,13 +194,31 @@ def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
         planes.take(index + corners, axis=1, out=v, mode="clip")
         v *= w[:, 0, None]
         v *= w[:, 1]
-        acc = v[:, 0, 0]
-        acc += v[:, 0, 1]
+        acc = samples[:, done:done + n]
+        np.add(v[:, 0, 0], v[:, 0, 1], out=acc)
         acc += v[:, 1, 0]
         acc += v[:, 1, 1]
         acc += 0.0
-        out[:, top * width:(top + rows) * width][:, pixels] = acc
-    return out.reshape(moving.shape), mask
+        done += n
+    return samples[:, :done], mask
+
+
+def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
+    """Resample the moving image on its own grid under ``params``, applied
+    about the image center.
+
+    ``moving`` is one (H, W) plane or a (k, H, W) stack of planes that
+    share a grid. Returns the warped plane or stack, in the input's shape,
+    and one (H, W) validity mask that is set only where the source
+    coordinate lies fully inside the bilinear support; everywhere else the
+    output is 0. Each plane equals its own 2-D ``warp`` bit for bit, and
+    ``scipy.ndimage.map_coordinates(order=1, mode="constant")`` byte for
+    byte: it is ``resample``'s samples, scattered into zeros.
+    """
+    samples, mask = resample(moving, params)
+    out = np.zeros((len(samples), mask.size))
+    out[:, mask.ravel()] = samples
+    return out.reshape(np.shape(moving)), mask
 
 
 def params_to_dict(params: AffineParams, center: tuple[float, float]) -> dict:

@@ -58,14 +58,27 @@ def test_synth_unusable_transform_exit_1(tmp_path, capsys):
     (["--remap", "gamma", "--gamma", "0"], "gamma"),
     (["--noise-sigma", "nan"], "noise_sigma"),
     (["--noise-sigma", "inf"], "noise_sigma"),
+    (["--gamma", "nan"], "gamma"),  # the default remap does not use gamma
 ])
 def test_synth_non_finite_setting_writes_nothing(tmp_path, capsys, option, field):
     # a NaN gamma used to write a moving.pgm of only 0 and 255, and a NaN
-    # noise sigma silently dropped the noise
+    # noise sigma silently dropped the noise; a NaN gamma with another
+    # remap was written to truth.json as NaN, which is not JSON
     out = tmp_path / "g"
     assert main(["synth", "--size", "64", *option, "-o", str(out)]) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not (out / "moving.pgm").exists()
+    assert not (out / "truth.json").exists()
+
+
+def test_synth_default_truth_is_strict_json(tmp_path):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    out = tmp_path / "fx"
+    assert main(["synth", "--size", "64", "-o", str(out)]) == 0
+    side = json.loads((out / "truth.json").read_text(), parse_constant=refuse)
+    assert side["spec"]["gamma"] == 2.0
 
 
 def test_register_identity_pair(tmp_path):

@@ -182,6 +182,18 @@ def test_binning_matches_histogram2d(seed, kind):
         assert h.counts.dtype == oracle.dtype
         assert np.array_equal(h.counts, oracle), (kind, trial, n, bins)
         assert h.total == n
+        # the row form bins each row over its own range as a 1-D call does;
+        # two extra rows span 1 to 40 ULPs, and a subnormal range makes
+        # linspace's step underflow to 0
+        extra = _random_samples(np.random.default_rng([seed, trial]), "ulp_range", n, bins)
+        subnormal = np.arange(n) % 11 * 5e-324
+        rows = np.stack([f, m, *extra, subnormal])
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        alone = [_bin_index(r, a, b, bins) for r, a, b in zip(rows, lo, hi)]
+        assert np.array_equal(_bin_index(rows, lo, hi, bins), alone), (kind, trial)
+        assert np.array_equal(_bin_index(rows[:-1], lo[:-1], hi[:-1], bins), alone[:-1])
+        edges = np.linspace(lo[-1], hi[-1], bins + 1)
+        assert np.array_equal(alone[-1], np.searchsorted(edges[1:-1], subnormal, "right"))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -20,8 +20,14 @@ from wavereg import (
     register,
 )
 from wavereg.fixtures import FixtureSpec, generate_pair
-from wavereg.metric import joint_histogram
-from wavereg.pipeline import _reconstruct_from_bands
+from wavereg.metric import joint_histogram, mi_between
+from wavereg.pipeline import (
+    _MEMO_SIZE,
+    MIN_OVERLAP_FRACTION,
+    _LevelObjective,
+    _reconstruct_from_bands,
+)
+from wavereg.pyramid import build_pyramid
 from wavereg.transform import invert_params, warp
 from wavereg.wavelet import dwt2
 
@@ -344,3 +350,75 @@ def test_golden_digest(method):
     h.update(np.ascontiguousarray(r.mask, dtype=bool).tobytes())
     h.update(struct.pack("<d", r.final_mi_bits))
     assert h.hexdigest() == GOLDEN_DIGESTS[method]
+
+
+def _summed_mi(fixed, moving, bins, p):
+    """The level objective as plain public calls: one warp, then each plane
+    pair's MI added in stack order from 0.0."""
+    warped, mask = warp(moving, p)
+    if np.count_nonzero(mask) < MIN_OVERLAP_FRACTION * mask.size:
+        return -math.inf
+    total = 0.0
+    for f, w in zip(fixed, warped):
+        try:
+            total += mi_between(f, w, mask, bins)
+        except ValueError:
+            return -math.inf
+    return total
+
+
+def _objective_levels():
+    """(name, fixed stack, moving stack) for every pyramid level of the
+    image and of its four sub-bands, on two pairs and an odd crop, plus
+    stacks with a flat plane and one with a non-finite fixed pixel."""
+    phantom = _rotated_invert_pair()
+    noise = generate_pair(FixtureSpec(
+        base_pattern="noise_smoothed", size=64, remap="gamma", noise_sigma=0.01,
+        truth=AffineParams(tx=-2, ty=3, theta=-0.04), seed=7))[:2]
+    crop = tuple(image[:61, :59] for image in phantom)
+    for pair, (fixed, moving) in (("phantom", phantom), ("noise", noise), ("crop", crop)):
+        for k, planes in ((1, lambda x: x[None]), (4, dwt2)):
+            for level, (f, m) in enumerate(zip(build_pyramid(planes(fixed), 3),
+                                               build_pyramid(planes(moving), 3))):
+                yield f"{pair}-k{k}-level{level}", f, m
+    f, m = dwt2(phantom[0]), dwt2(phantom[1])
+    flat_fixed = f.copy()
+    flat_fixed[2] = 7.0
+    yield "flat-fixed-band", flat_fixed, m
+    flat_moving = m.copy()
+    flat_moving[0] = -3.0
+    yield "flat-moving-band", f, flat_moving
+    yield "all-flat", np.ones_like(f), m
+    broken = f.copy()
+    broken[1, 5, 5] = np.inf
+    yield "non-finite-fixed", broken, m
+
+
+def test_level_objective_equals_summed_mi_between():
+    """The per-level objective gives the bits of ``_summed_mi`` at random
+    transforms, including lost overlaps, masked fixed ranges narrower than
+    the plane's and more distinct ranges than a plane's memo keeps."""
+    rng = np.random.default_rng(99)
+    narrower = evicted = lost = 0
+    for name, fixed, moving in _objective_levels():
+        objective = _LevelObjective(fixed, moving, 50)
+        ranges = set()
+        for i in range(60):
+            size = moving.shape[-1]
+            p = AffineParams(
+                tx=rng.normal() * size / 12, ty=rng.normal() * size / 12,
+                theta=rng.normal() * 0.1, sx=rng.uniform(0.9, 1.1),
+                sy=rng.uniform(0.9, 1.1), k=rng.normal() * 0.05)
+            if i % 20 == 19:
+                p = AffineParams(tx=0.6 * size)  # keeps less than half the level
+            expected = _summed_mi(fixed, moving, objective.bins, p)
+            assert objective(p).hex() == expected.hex(), (name, i, p)
+            lost += expected == -math.inf
+            mask = warp(moving, p)[1]
+            if name.startswith(("phantom", "noise", "crop")) and mask.any():
+                masked = fixed[0][mask]
+                ranges.add((masked.min(), masked.max()))
+                narrower += (masked.min(), masked.max()) != (fixed[0].min(), fixed[0].max())
+        evicted += len(ranges) > _MEMO_SIZE
+        assert all(len(memo) <= _MEMO_SIZE for memo in objective.memo)
+    assert narrower > 0 and evicted > 0 and lost > 0

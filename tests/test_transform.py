@@ -15,6 +15,7 @@ from wavereg.transform import (
     _linear_part,
     center_adjusted,
     image_center,
+    resample,
     save_params,
     scale_params_between_levels,
     warp,
@@ -248,6 +249,18 @@ def test_warp_bytes_equal_map_coordinates():
             assert got.tobytes() == ref.tobytes()
             assert np.array_equal(mask, ref_mask)
     assert resampled > 400_000 and empty >= 1
+
+
+def test_resample_gives_the_masked_samples_of_warp():
+    """``resample`` returns the (k, n) masked samples of ``warp``, byte for
+    byte and in row-major pixel order, and the same mask."""
+    rng = np.random.default_rng(2024)
+    for stack, params in _warp_cases(rng):
+        warped, mask = warp(stack, params)
+        samples, samples_mask = resample(stack, params)
+        assert np.array_equal(samples_mask, mask)
+        assert samples.shape == (len(stack), np.count_nonzero(mask))
+        assert samples.tobytes() == warped[:, mask].tobytes()
 
 
 def test_warp_threads_keep_their_own_buffers():
