@@ -10,9 +10,9 @@ Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
 and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
-with the top edge counted in the last bin. ``np.bincount`` over the
-flattened (fixed, moving) index then fills the joint histogram, in passes of
-at most ``_CHUNK`` samples. The per-level objective shares these kernels.
+with the top edge counted in the last bin. One ``np.bincount`` over the
+flattened (fixed, moving) index then fills the joint histogram. The
+per-level objective shares these kernels.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ class JointHistogram:
     total: float
     degenerate: bool = False
 
-
-# samples binned per pass. A pass's temporaries (128 KiB each) are reused
-# from the allocator's free lists; whole-overlap temporaries on a 256x256
-# level push the heap past glibc's trim threshold, so each call would give
-# about 2 MB back to the kernel and page-fault it in again.
-_CHUNK = 16384
 
 # a range within 16 eps of its magnitude is flat: bilinear warping leaves a
 # constant region up to about 2.5 eps of rounding spread
@@ -107,14 +101,10 @@ def joint_histogram(
         counts = np.zeros((bins, bins))
         counts[0, 0] = fvals.size
         return JointHistogram(counts=counts, total=float(fvals.size), degenerate=True)
-    counts = np.zeros(bins * bins)
-    for start in range(0, fvals.size, _CHUNK):
-        stop = start + _CHUNK
-        cell = _bin_index(fvals[start:stop], fmin, fmax, bins) * bins
-        cell += _bin_index(mvals[start:stop], mmin, mmax, bins)
-        counts += np.bincount(cell, minlength=bins * bins)
-    counts = counts.reshape(bins, bins)
-    return JointHistogram(counts=counts, total=float(counts.sum()))
+    cell = _bin_index(fvals, fmin, fmax, bins) * bins
+    cell += _bin_index(mvals, mmin, mmax, bins)
+    counts = np.bincount(cell, minlength=bins * bins).reshape(bins, bins)
+    return JointHistogram(counts=counts.astype(np.float64), total=float(fvals.size))
 
 
 def _mi_bits(counts: np.ndarray, total) -> list[float]:

@@ -47,7 +47,6 @@ class RegistrationConfig:
     histogram_bins: int = 50
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     subband_objective: str = "sum_all_bands"  # or "ll_only"
-    initial_params: AffineParams = field(default_factory=AffineParams)
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -85,7 +84,8 @@ def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
     for name, image in (("fixed", fixed), ("moving", moving)):
         if not np.isfinite(image).all():
             raise ValueError(f"{name} image has non-finite pixels (NaN or Inf)")
-        if image.min() == image.max():
+        lo, hi = float(image.min()), float(image.max())
+        if _degenerate(lo, hi, lo, hi):
             raise ValueError(f"{name} image is constant; it has no structure to register")
 
 
@@ -95,17 +95,15 @@ MIN_OVERLAP_FRACTION = 0.5
 
 
 def _coarse_to_fine(objectives, config: RegistrationConfig):
-    """Run the optimizer per level, coarsest first, warm-starting finer levels.
+    """Run the optimizer per level, the coarsest from the identity, each finer
+    level warm-started from the one above it.
 
     ``objectives[i]`` is the objective at pyramid level i (0 = finest).
     Returns the finest-level parameters and traces ordered coarsest first.
     """
-    num_levels = len(objectives)
-    params = scale_params_between_levels(
-        config.initial_params, 0.5 ** (num_levels - 1)
-    )
+    params = AffineParams()
     traces: list[OptimizerTrace] = []
-    for level in range(num_levels - 1, -1, -1):
+    for level in range(len(objectives) - 1, -1, -1):
         objective = objectives[level]
         if not math.isfinite(objective(params)):
             raise RegistrationError("registration lost overlap")
@@ -190,9 +188,9 @@ def register(
 ) -> RegistrationResult:
     """Register ``moving`` onto ``fixed`` with ``config.method``.
 
-    ``initial_params`` and the returned params are in full-resolution
-    coordinates; the sub-band methods halve them on the way in and double
-    them on the way out. ``ll_only`` keeps only the LL band's MI.
+    Every method starts its coarsest level from the identity. The returned
+    params are in full-resolution coordinates: the sub-band methods double
+    their half-resolution result. ``ll_only`` keeps only the LL band's MI.
     """
     config.validate()
     _check_inputs(fixed, moving)
@@ -202,16 +200,14 @@ def register(
         moving_bands = dwt2(moving)
         n = 1 if config.subband_objective == "ll_only" else 4
         fixed_planes, moving_planes = dwt2(fixed)[:n], moving_bands[:n]
-        run_config = replace(config, initial_params=scale_params_between_levels(
-            config.initial_params, 0.5))
     else:
-        fixed_planes, moving_planes, run_config = fixed[None], moving[None], config
+        fixed_planes, moving_planes = fixed[None], moving[None]
     objectives = [
         _LevelObjective(f, m, config.histogram_bins)
         for f, m in zip(build_pyramid(fixed_planes, levels),
                         build_pyramid(moving_planes, levels))
     ]
-    params, traces = _coarse_to_fine(objectives, run_config)
+    params, traces = _coarse_to_fine(objectives, config)
     if haar:
         registered, mask = _reconstruct_from_bands(moving_bands, params, fixed.shape)
         params = scale_params_between_levels(params, 2.0)

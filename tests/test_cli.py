@@ -1,6 +1,7 @@
 """CLI surface tests: synth, register, compare, diff and exit codes."""
 
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import wavereg
 from wavereg import load_pgm
-from wavereg.cli import main
+from wavereg.cli import METHOD_ALIASES, _build_parser, _make_config, main
 from wavereg.imageio import save_pgm
 
 
@@ -179,6 +180,28 @@ def test_register_bad_bins_names_the_cause(tmp_path, capsys):
     ])
     assert rc == 1
     assert "histogram_bins must be >= 2" in capsys.readouterr().err
+
+
+def _leaves(config, prefix=""):
+    """(dotted name, value) of every field, nested dataclasses flattened."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
+
+
+def test_every_config_field_is_set_by_a_register_flag():
+    # a field that no flag sets is a knob no user reaches: with every
+    # register flag off its default, every leaf must be off its default too
+    args = _build_parser().parse_args([
+        "register", "--method", "wavelet", "fixed.pgm", "moving.pgm",
+        "--seed", "3", "--levels", "2", "--bins", "20", "--max-iterations", "7",
+        "--subband-objective", "ll_only", "-o", "out"])
+    config = _make_config(args, METHOD_ALIASES[args.method])
+    default = dict(_leaves(wavereg.RegistrationConfig()))
+    assert [name for name, value in _leaves(config) if value == default[name]] == []
 
 
 def _make_pairs(tmp_path, n):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wavereg.metric import (
-    _CHUNK,
     JointHistogram,
     _bin_index,
     correlation_coefficient,
@@ -160,7 +159,7 @@ def test_binning_matches_histogram2d(seed, kind):
         if trial < 20:
             n = 2
         elif trial == 20:
-            n = 2 * _CHUNK + 3  # several binning passes, the last one partial
+            n = 32771  # a large overlap, binned in one call
         else:
             n = int(rng.integers(2, 500))
         bins = 2 + trial % 59  # 2 .. 60

@@ -24,11 +24,12 @@ from wavereg.metric import joint_histogram, mi_between
 from wavereg.pipeline import (
     _MEMO_SIZE,
     MIN_OVERLAP_FRACTION,
+    _coarse_to_fine,
     _LevelObjective,
     _reconstruct_from_bands,
 )
 from wavereg.pyramid import build_pyramid
-from wavereg.transform import invert_params, warp
+from wavereg.transform import invert_params, scale_params_between_levels, warp
 from wavereg.wavelet import dwt2
 
 
@@ -96,46 +97,20 @@ def test_wavelet_translation_scaling():
 
 
 def test_wavelet_reconstruction_error_bounded():
-    # inject ground truth with the optimizer disabled: warp-then-IDWT must
+    # the ground truth, halved into sub-band space: warp-then-IDWT must
     # track the direct spatial warp within 2% mean abs error on the interior
-    fixed, moving, truth = generate_pair(
+    _, moving, truth = generate_pair(
         FixtureSpec(size=128, truth=AffineParams(tx=5, ty=-3, theta=0.05), seed=3)
     )
     recovery = invert_params(truth)
-    cfg = RegistrationConfig(
-        method="wavelet",
-        optimizer=OptimizerConfig(max_iterations=0),
-        initial_params=recovery,
-    )
-    result = register(fixed, moving, cfg)
+    registered, mask = _reconstruct_from_bands(
+        dwt2(moving), scale_params_between_levels(recovery, 0.5), moving.shape)
     spatial, smask = warp(moving, recovery)
-    inner = result.mask & smask
+    inner = mask & smask
     inner[:4] = inner[-4:] = False
     inner[:, :4] = inner[:, -4:] = False
-    err = np.abs(result.registered[inner] - spatial[inner]).mean()
+    err = np.abs(registered[inner] - spatial[inner]).mean()
     assert err <= 0.02 * 255.0
-    # parameters pass through untouched when the optimizer cannot move
-    assert result.params.tx == pytest.approx(recovery.tx)
-
-
-def test_injected_truth_zero_iterations_all_methods():
-    fixed, moving, truth = generate_pair(
-        FixtureSpec(size=64, truth=AffineParams(tx=4, ty=-2), seed=4)
-    )
-    recovery = invert_params(truth)
-    for method in ("pyramid", "wavelet", "dwt_pyramid"):
-        cfg = RegistrationConfig(
-            method=method,
-            optimizer=OptimizerConfig(max_iterations=0),
-            initial_params=recovery,
-        )
-        r = register(fixed, moving, cfg)
-        # plumbing adds no transform error: registered matches fixed closely
-        inner = r.mask.copy()
-        inner[:4] = inner[-4:] = False
-        inner[:, :4] = inner[:, -4:] = False
-        err = np.abs(r.registered[inner] - fixed[inner]).mean()
-        assert err <= 0.02 * 255.0, method
 
 
 def test_trace_count_matches_levels():
@@ -206,11 +181,9 @@ def test_non_finite_pixels_rejected(method, bad):
 
 
 def test_lost_overlap_raises():
-    fixed = _phantom()
-    cfg = _config("pyramid")
-    cfg.initial_params = AffineParams(tx=500, ty=500)
+    # an objective that is -inf at a level's start point has lost the overlap
     with pytest.raises(RegistrationError, match="lost overlap"):
-        register(fixed, fixed, cfg)
+        _coarse_to_fine([lambda p: -math.inf], _config("pyramid"))
 
 
 def test_config_validation():
@@ -251,6 +224,19 @@ def test_evaluate_identical_pair():
 def test_constant_image_rejected(method, which):
     image = _phantom()
     flat = np.full_like(image, 0.5)
+    pair = (flat, image) if which == "fixed" else (image, flat)
+    with pytest.raises(ValueError, match=f"{which} image is constant"):
+        register(*pair, _config(method))
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("which", ["fixed", "moving"])
+def test_near_constant_image_rejected(method, which):
+    # a range within 16 eps of its magnitude is flat to the metric, so a
+    # registration of this image could only end at a final MI of 0
+    image = _phantom()
+    flat = 1000.0 + 1e-13 * np.random.default_rng(0).uniform(size=image.shape)
+    assert flat.min() != flat.max()
     pair = (flat, image) if which == "fixed" else (image, flat)
     with pytest.raises(ValueError, match=f"{which} image is constant"):
         register(*pair, _config(method))
