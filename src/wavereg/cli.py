@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--subband-objective", choices=["sum_all_bands", "ll_only"],
-                   default="sum_all_bands")
     p.add_argument("-o", "--out", required=True, help="output directory")
 
     p = sub.add_parser(
@@ -120,7 +118,6 @@ def _make_config(args, method: str) -> RegistrationConfig:
         histogram_bins=args.bins,
         optimizer=OptimizerConfig(seed=args.seed,
                                   max_iterations=args.max_iterations),
-        subband_objective=getattr(args, "subband_objective", "sum_all_bands"),
     )
     config.validate()
     return config
@@ -264,16 +261,9 @@ def compare_pairs(pairs, configs):
                        "status": "ok"}
             rows.append({"id": pair_id, "method": method, **row})
     for method in configs:
-        rows.append({
-            "id": "SUMMARY",
-            "method": method,
-            "max_mi_bits": "",
-            "final_mi_bits": "",
-            "cc": "",
-            "mi_winner": wins[method]["mi"],
-            "cc_winner": wins[method]["cc"],
-            "status": "",
-        })
+        rows.append({"id": "SUMMARY", "method": method, "max_mi_bits": "", "final_mi_bits": "",
+                     "cc": "", "mi_winner": wins[method]["mi"], "cc_winner": wins[method]["cc"],
+                     "status": ""})
     return rows
 
 

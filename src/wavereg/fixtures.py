@@ -149,14 +149,8 @@ def sidecar_dict(spec: FixtureSpec) -> dict:
     return {
         "truth": params_to_dict(spec.truth, center),
         "recovery": params_to_dict(invert_params(spec.truth), center),
-        "spec": {
-            "base_pattern": spec.base_pattern,
-            "size": spec.size,
-            "remap": spec.remap,
-            "gamma": spec.gamma,
-            "noise_sigma": spec.noise_sigma,
-            "seed": spec.seed,
-        },
+        "spec": {name: getattr(spec, name) for name in
+                 ("base_pattern", "size", "remap", "gamma", "noise_sigma", "seed")},
     }
 
 

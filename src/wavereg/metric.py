@@ -43,13 +43,13 @@ def _degenerate(fmin: float, fmax: float, mmin: float, mmax: float) -> bool:
             or mmax - mmin <= _FLAT_TOL * max(-mmin, mmax))
 
 
-def _bin_index(values: np.ndarray, lo, hi, bins: int) -> np.ndarray:
+def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray:
     """Index of the ``linspace(lo, hi, bins + 1)`` bin holding each value in
     [lo, hi]: the last edge not above it, the top edge in the last bin.
-    ``values`` is one row with scalar bounds, or (r, n) rows with (r,)
-    bounds, each row binned exactly as it would be alone."""
+    ``values`` is one row with scalar bounds, or (r, n) rows with (r,) or, in
+    runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone."""
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
-    rows = values.reshape(len(lo), -1)
+    rows = np.atleast_2d(values)
     step = (hi - lo) / bins
     if step.all():  # linspace's edges; it divides first where the step underflows
         edges = np.arange(bins + 1.0) * step + lo
@@ -58,11 +58,13 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int) -> np.ndarray:
     edges[:, -1] = np.inf  # the last bin includes the top edge
     lower = edges.ravel()
     upper = lower[1:]
-    index = ((rows - lo) / (hi - lo) * bins).astype(np.intp)
-    np.minimum(index, bins - 1, out=index)
-    # row r's edges start at r * (bins + 1); no row leaves its own, as
+    # bounds r's edges start at r * (bins + 1); no value leaves its own, as
     # index 0 never steps down and the last bin never steps up
     offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None] if lo.size > 1 else 0
+    if lo.size > len(rows):  # each value takes its run's bounds
+        lo, hi, offsets = (x.reshape(len(rows), -1).repeat(counts, 1) for x in (lo, hi, offsets))
+    index = ((rows - lo) / (hi - lo) * bins).astype(np.intp)
+    np.minimum(index, bins - 1, out=index)
     index += offsets
     # the arithmetic index can miss an edge by an ULP; when edges closer
     # than an ULP repeat, one step is not always enough
@@ -108,15 +110,15 @@ def joint_histogram(
 
 
 def _mi_bits(counts: np.ndarray, total) -> list[float]:
-    """MI in bits of each (b, b) histogram of ``total`` samples in a stack of
-    counts: one ``np.sum`` over its own nonzero cells, as if it were alone."""
+    """MI in bits of each (b, b) histogram of ``total`` samples (or (n, 1, 1) totals) in a
+    stack of counts: ``np.sum``'s pairwise ``np.add.reduce`` over its own nonzero cells."""
     p = counts / total
     outer = np.add.reduce(p, 2)[:, :, None] * np.add.reduce(p, 1)[:, None, :]
     nz = p > 0
     cells = p[nz]
     terms = cells * np.log2(cells / outer[nz])
     stops = nz.reshape(len(p), -1).sum(1).cumsum().tolist()
-    return [float(np.sum(terms[a:b])) for a, b in zip([0] + stops, stops)]
+    return [float(np.add.reduce(terms[a:b])) for a, b in zip([0] + stops, stops)]
 
 
 def mutual_information(hist: JointHistogram) -> float:

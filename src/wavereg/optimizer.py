@@ -1,16 +1,19 @@
 """Derivative-free (1+1) evolution strategy over the six affine parameters.
 
-Each generation draws a 6-vector of standard normal deviates, scales it by
-the current search radius and ``PARAM_SCALES``, and adds it to the parent.
-Improvements are accepted and grow the radius by ``GROWTH_FACTOR``;
-failures shrink it by ``SHRINK_FACTOR``. The loop stops when the radius
-drops below ``EPSILON`` or the iteration budget is spent. This step-size
-rule (Styner et al. 2000, IEEE TMI 19:153) is fixed: a run is set by its
-budget and seed alone, and is fully deterministic for a fixed seed.
+Each generation scales a 6-vector of standard normal deviates by the
+search radius and ``PARAM_SCALES`` and adds it to the parent. Improvements
+grow the radius by ``GROWTH_FACTOR``, failures shrink it by
+``SHRINK_FACTOR``, so the candidates after a failure are known ahead and
+shown to the objective; their deviates are drawn a window at a time (a
+(w, 6) draw gives the numbers of w draws of 6). The loop stops when the
+radius drops below ``EPSILON`` or the iteration budget is spent. This
+step-size rule (Styner et al. 2000, IEEE TMI 19:153) is fixed: a run is
+set by its budget and seed alone, and is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +29,7 @@ INITIAL_RADIUS = 1e-3
 # ~1.1 deg in rotation and 0.003 in scale/shear, which the search can still
 # grow or shrink multiplicatively.
 PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
+WINDOW = 8  # candidates planned ahead, for an objective that scores several per call
 
 
 @dataclass
@@ -60,32 +64,42 @@ class OptimizerTrace:
 def optimize(objective, p0: AffineParams, config: OptimizerConfig):
     """Maximize ``objective`` from ``p0``; returns (best_params, trace).
 
-    Candidates with non-positive scales are rejected without evaluation.
+    Candidates with non-positive scales are rejected without evaluation;
+    each other one is a call ``objective(candidate, ahead=rows)``, ``rows``
+    the (n, 6) ``as_vector``s next in line if all fail, to score now or ignore.
     """
     config.validate()
     f0 = float(objective(p0))
     if not math.isfinite(f0):
         raise ValueError("invalid start: objective is not finite at p0")
     rng = np.random.default_rng(config.seed)
-    scales = np.asarray(PARAM_SCALES, dtype=np.float64)
     radius = INITIAL_RADIUS
     # only strict improvements are accepted, so the parent is the best so far
     trace = OptimizerTrace(best_value=f0, best_params=p0)
+    plan = deviates = np.empty((0, 6))  # this iteration's row first
     for it in range(config.max_iterations):
         if radius < EPSILON:
             break
-        step = radius * scales * rng.standard_normal(6)
-        candidate = AffineParams.from_vector(trace.best_params.as_vector() + step)
+        if not len(plan):  # used up, or moved by an accept: plan up to WINDOW candidates
+            factors = [radius] + [SHRINK_FACTOR] * (min(WINDOW, config.max_iterations - it) - 1)
+            radii = [r for r in itertools.accumulate(factors, float.__mul__) if r >= EPSILON]
+            deviates = np.concatenate((deviates, rng.standard_normal((WINDOW - len(deviates), 6))))
+            steps = np.outer(radii, PARAM_SCALES) * deviates[:len(radii)]
+            plan = trace.best_params.as_vector() + steps
+            ahead = plan[~(plan[:, 3:5] <= 0).any(1)]  # the ones it will evaluate
+        candidate = AffineParams.from_vector(plan[0])
         if candidate.sx <= 0 or candidate.sy <= 0:
             f_cand = math.nan
             accepted = False
         else:
-            f_cand = float(objective(candidate))
+            ahead = ahead[1:]  # ahead[0] was this candidate
+            f_cand = float(objective(candidate, ahead=ahead))
             accepted = math.isfinite(f_cand) and f_cand > trace.best_value
         trace.records.append(
             IterationRecord(iteration=it, params=candidate, value=f_cand,
                             accepted=accepted, radius=radius)
         )
+        plan, deviates = plan[1:] if not accepted else plan[:0], deviates[1:]
         if accepted:
             trace.best_value = f_cand
             trace.best_params = candidate

@@ -16,11 +16,13 @@ The sub-band methods optimize in half-resolution coordinates and inverse
 transform the warped sub-bands into the registered image. One transform is
 shared across the sub-bands because independent band transforms could not
 be recombined into one coherent image by the inverse DWT. A level's
-objective scores all its planes in one pass over the masked pixels.
+objective scores all its planes, and small levels several candidates, at once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,12 +31,13 @@ import numpy as np
 from .metric import _bin_index, _degenerate, _mi_bits, correlation_coefficient, mi_between
 from .optimizer import OptimizerConfig, OptimizerTrace, optimize
 from .pyramid import build_pyramid
-from .transform import AffineParams, resample, scale_params_between_levels, warp
+from .transform import _PASS, AffineParams, resample, scale_params_between_levels, warp
 from .wavelet import dwt2, idwt2
 
 METHODS = ("pyramid", "wavelet", "dwt_pyramid")
 
 MIN_IMAGE_SIZE = 32
+MAX_HISTOGRAM_BINS = 1024  # a joint histogram holds bins * bins counts: 8 MiB here
 
 class RegistrationError(Exception):
     """Raised when a registration run cannot proceed."""
@@ -46,17 +49,15 @@ class RegistrationConfig:
     pyramid_levels: int = 3
     histogram_bins: int = 50
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    subband_objective: str = "sum_all_bands"  # or "ll_only"
 
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.pyramid_levels < 1:
             raise ValueError("pyramid_levels must be >= 1")
-        if self.subband_objective not in ("sum_all_bands", "ll_only"):
-            raise ValueError(f"unknown subband objective {self.subband_objective!r}")
-        if self.histogram_bins < 2:
-            raise ValueError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
+        if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
+            raise ValueError(f"histogram_bins must be >= 2 and <= {MAX_HISTOGRAM_BINS}, "
+                             f"got {self.histogram_bins}")
         self.optimizer.validate()
 
 
@@ -133,9 +134,11 @@ _MEMO_SIZE = 8
 class _LevelObjective:
     """One level's objective, bit for bit the sum of ``mi_between`` over the
     plane pairs of ``fixed`` and ``warp(moving, p)`` in stack order, or -inf
-    on a lost overlap. A bin depends only on the value and the range, so a
-    fixed plane is binned whole (clipped into the range, which leaves the
-    masked values as they are) once per masked range, for its last
+    on a lost overlap. A call also scores ``ahead`` rows in its ``resample``
+    pass (7 up to 16x16, 3 at 32x32, none from 64x64 on) and answers a later
+    call from them when its parameter vector matches one byte for byte. A bin
+    depends only on the value and the range, so a fixed plane is binned whole
+    (clipped into the range) once per masked range, for its last
     ``_MEMO_SIZE`` ranges, and kept as histogram cell offsets."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
@@ -143,44 +146,63 @@ class _LevelObjective:
         # small levels keep several samples per bin: with 50 bins on a 16x16
         # level the estimation bias of MI rewards shrinking the overlap
         self.bins = min(bins, max(2, math.isqrt(moving[0].size) // 2))
-        self.cells = len(fixed) * self.bins * self.bins
+        self.cells = len(fixed) * self.bins * self.bins  # per candidate
         self.memo = [{} for _ in fixed]  # (lo, hi) -> cell offsets, oldest first
+        self.batch = max(1, _PASS // moving[0].size)
+        self.kept = {}  # parameter vector bytes -> value, of the last pass
 
-    def __call__(self, p: AffineParams) -> float:
-        samples, mask = resample(self.moving, p)
-        n = samples.shape[1]
-        if n < MIN_OVERLAP_FRACTION * mask.size:
-            return -math.inf
-        inside = mask.ravel()
-        fixed = np.compress(inside, self.fixed, axis=1)
-        flo, fhi = fixed.min(axis=1).tolist(), fixed.max(axis=1).tolist()
-        mlo, mhi = samples.min(axis=1), samples.max(axis=1)
+    def __call__(self, p: AffineParams, ahead=()) -> float:
+        vector = p.as_vector()
+        if vector.tobytes() not in self.kept:
+            vectors = vector[None] if self.batch == 1 else np.concatenate(
+                ([vector], np.reshape(ahead, (-1, 6))[:self.batch - 1]))
+            self.kept = dict(zip(map(np.ndarray.tobytes, vectors), self._score(vectors)))
+        return self.kept[vector.tobytes()]
+
+    def _score(self, vectors: np.ndarray) -> list[float]:
+        samples, masks = resample(self.moving, vectors)
+        inside = masks.reshape(len(masks), -1)
+        parts = [np.compress(mask, self.fixed, axis=1) for mask in inside]
+        counts = [part.shape[1] for part in parts]
+        starts, ends = [0, *itertools.accumulate(counts[:-1])], [*itertools.accumulate(counts)]
         try:
-            live = [plane for plane, ranges in enumerate(zip(flo, fhi, mlo.tolist(), mhi.tolist()))
-                    if not _degenerate(*ranges)]
-        except ValueError:
-            return -math.inf
-        if not live:
-            return 0.0
-        if len(live) < len(samples):
-            samples, mlo, mhi = samples[live], mlo[live], mhi[live]
-        cell = _bin_index(samples, mlo, mhi, self.bins)
-        for row, plane in zip(cell, live):
-            memo, key = self.memo[plane], (flo[plane], fhi[plane])
-            cells = memo.pop(key, None)  # re-inserted below as the newest
-            if cells is None:
-                if len(memo) == _MEMO_SIZE:
-                    del memo[next(iter(memo))]
-                index = _bin_index(np.clip(self.fixed[plane], *key), *key, self.bins)
-                cells = ((index + plane * self.bins) * self.bins).astype(
-                    np.min_scalar_type(self.cells - 1))
-            row += np.compress(inside, memo.setdefault(key, cells))
-        counts = np.bincount(cell.ravel(), minlength=self.cells)
+            if min(counts) < MIN_OVERLAP_FRACTION * inside.shape[1]:
+                raise ValueError("lost overlap")
+            fixed = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            bounds = [f.reduceat(x, starts, 1) for x in (fixed, samples)
+                      for f in (np.minimum, np.maximum)]
+            flo, fhi, mlo, mhi = ranges = [b.tolist() for b in bounds]  # [plane][candidate]
+            flat = [[_degenerate(*pair) for pair in zip(*plane)] for plane in zip(*ranges)]
+        except ValueError:  # a lost overlap or a non-finite range: each alone
+            return [-math.inf] if len(vectors) == 1 else [self._score(v[None])[0] for v in vectors]
+        if any(map(any, flat)):  # a flat pair's cells are never read: any range holding its values
+            bounds[3] = np.where(flat, bounds[3] + abs(bounds[3]) + 1.0, bounds[3])
+            fhi = [[h + abs(h) + 1.0 if f else h for h, f in zip(*row)] for row in zip(fhi, flat)]
+        cell = _bin_index(samples, *bounds[2:], self.bins, counts)
+        for plane, row in enumerate(cell):
+            memo, a, keys = self.memo[plane], 0, [*zip(flo[plane], fhi[plane])]
+            for b, (key, after) in enumerate(zip(keys, keys[1:] + [None])):
+                if key == after:  # the next candidate's range too: one gather serves both
+                    continue
+                cells = memo.pop(key, None)  # re-inserted below as the newest
+                if cells is None:
+                    if len(memo) == _MEMO_SIZE:
+                        del memo[next(iter(memo))]
+                    index = _bin_index(np.clip(self.fixed[plane], *key), *key, self.bins)
+                    cells = ((index + plane * self.bins) * self.bins).astype(
+                        np.min_scalar_type(self.cells - 1))
+                memo[key] = cells
+                run = np.tile(cells, b + 1 - a) if b > a else cells
+                row[starts[a]:ends[b]] += np.compress(inside[a:b + 1].ravel(), run)
+                a = b + 1
+        if len(counts) > 1:
+            cell += np.repeat(np.arange(0, len(counts) * self.cells, self.cells), counts)
+        hist = np.bincount(cell.ravel(), minlength=len(counts) * self.cells)
+        mis = iter(_mi_bits(hist.reshape(-1, self.bins, self.bins),
+                            np.repeat(counts, len(cell))[:, None, None]))
         # a flat pair's 0 is left out: adding +0.0 never changes the sum
-        total = 0.0
-        for mi in _mi_bits(counts.reshape(-1, self.bins, self.bins)[live], n):
-            total += mi
-        return total
+        return [functools.reduce(float.__add__, (mi for f, mi in zip(row, mis) if not f), 0.0)
+                for row in zip(*flat)]
 
 
 def register(
@@ -190,16 +212,14 @@ def register(
 
     Every method starts its coarsest level from the identity. The returned
     params are in full-resolution coordinates: the sub-band methods double
-    their half-resolution result. ``ll_only`` keeps only the LL band's MI.
+    their half-resolution result.
     """
     config.validate()
     _check_inputs(fixed, moving)
     haar = config.method != "pyramid"
     levels = 1 if config.method == "wavelet" else config.pyramid_levels
     if haar:
-        moving_bands = dwt2(moving)
-        n = 1 if config.subband_objective == "ll_only" else 4
-        fixed_planes, moving_planes = dwt2(fixed)[:n], moving_bands[:n]
+        fixed_planes, moving_planes = dwt2(fixed), dwt2(moving)
     else:
         fixed_planes, moving_planes = fixed[None], moving[None]
     objectives = [
@@ -209,7 +229,7 @@ def register(
     ]
     params, traces = _coarse_to_fine(objectives, config)
     if haar:
-        registered, mask = _reconstruct_from_bands(moving_bands, params, fixed.shape)
+        registered, mask = _reconstruct_from_bands(moving_planes, params, fixed.shape)
         params = scale_params_between_levels(params, 2.0)
     else:
         registered, mask = warp(moving, params)

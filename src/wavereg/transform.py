@@ -12,15 +12,15 @@ image center, as the map from output (fixed-grid) coordinates to source
 coordinates in the moving image and resamples bilinearly, which makes the
 sign conventions above hold for the rendered image.
 
-``resample`` is a NumPy gather kernel. It finds each masked pixel's four
-source corners and weights once for all planes of a stack, gathers the
-corner values with one ``take`` and sums the weighted terms with SciPy's
-own order-1 weights and summation order, so its bytes equal
-``scipy.ndimage.map_coordinates(order=1, mode="constant")`` (the test
-oracle) in about half the time per pixel. It returns only the masked
-samples, all the registration objective reads; ``warp`` scatters them into
-zeros. Passes of about 4,096 pixels and temporaries reused across calls
-keep a 128x128 or 256x256 call from page-faulting fresh heap memory.
+``resample`` is a NumPy gather kernel for a stack of candidate transforms.
+It finds each masked pixel's four source corners and weights once for all
+planes of a stack, gathers the corner values with one ``take`` and sums
+the weighted terms with SciPy's own order-1 weights and summation order,
+so its bytes equal ``scipy.ndimage.map_coordinates(order=1,
+mode="constant")`` (the test oracle) in about half the time per pixel. It
+returns only the masked samples, all the registration objective reads;
+``warp`` scatters one candidate's into zeros. Passes of about 4,096 pixels
+and reused temporaries keep a 128x128 or 256x256 call from page-faulting.
 """
 
 from __future__ import annotations
@@ -58,27 +58,25 @@ def image_center(image: np.ndarray) -> tuple[float, float]:
     return ((width - 1) / 2.0, (height - 1) / 2.0)
 
 
-def _linear_part(params: AffineParams) -> np.ndarray:
-    if params.sx <= 0 or params.sy <= 0:
-        raise ValueError(f"scales must be positive, got sx={params.sx}, sy={params.sy}")
-    c, s = np.cos(params.theta), np.sin(params.theta)
-    sx, sy, k = params.sx, params.sy, params.k
-    return np.array([
-        [sx * c, sy * (k * c - s)],
-        [sx * s, sy * (k * s + c)],
-    ])
-
-
 def center_adjusted(params: AffineParams, center: tuple[float, float]) -> np.ndarray:
     """Matrix applying the linear part about ``center`` plus the translation."""
-    a = _linear_part(params)
-    cx, cy = center
-    ax, ay = a @ np.array([cx, cy])
-    return np.array([
-        [a[0, 0], a[0, 1], params.tx + cx - ax],
-        [a[1, 0], a[1, 1], params.ty + cy - ay],
-        [0.0, 0.0, 1.0],
-    ])
+    return np.vstack((_center_adjusted(params.as_vector(), center)[0], (0.0, 0.0, 1.0)))
+
+
+def _center_adjusted(vectors, center: tuple[float, float]) -> np.ndarray:
+    """The top two rows of ``center_adjusted`` for each row of a (B, 6) stack,
+    with the bytes of its own call: one stacked ``a @ c`` equals a product per
+    matrix (``einsum`` or the written-out sum would not)."""
+    vectors = np.reshape(vectors, (-1, 6))
+    rows = vectors.tolist()
+    for *_, sx, sy, _ in rows:
+        if sx <= 0 or sy <= 0:
+            raise ValueError(f"scales must be positive, got sx={sx}, sy={sy}")
+    cos, sin = np.cos(vectors[:, 2]).tolist(), np.sin(vectors[:, 2]).tolist()
+    a = np.array([[[sx * c, sy * (k * c - s)], [sx * s, sy * (k * s + c)]]
+                  for (*_, sx, sy, k), c, s in zip(rows, cos, sin)])
+    center = np.array(center, dtype=np.float64)
+    return np.concatenate((a, (vectors[:, :2] + center - a @ center)[:, :, None]), 2)
 
 
 def invert_params(params: AffineParams) -> AffineParams:
@@ -88,7 +86,7 @@ def invert_params(params: AffineParams) -> AffineParams:
     triangular (positive diagonal); the translation inverts to -A^{-1} t,
     independent of the center.
     """
-    a = _linear_part(params)
+    a = center_adjusted(params, (0.0, 0.0))[:2, :2]
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if det == 0:
         raise ValueError("singular affine matrix")
@@ -142,13 +140,14 @@ def _grid(height: int, width: int):
     return constants
 
 
-def resample(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
-    """``warp``'s masked pixels: the (k, n) samples equal to
-    ``warp(moving, params)[0][:, mask]`` byte for byte, and the mask. The
-    samples are a view of a per-thread buffer that the next call reuses.
+def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """``warp``'s masked pixels under each row of a (B, 6) stack of
+    ``AffineParams.as_vector``s: the (B, H, W) masks, and the (k, n) samples
+    of one candidate after another, each equal to ``warp(moving, p)[0][:,
+    mask]`` byte for byte, in a per-thread buffer that the next call reuses.
 
-    The masked pixels are resampled one block of rows at a time, in passes
-    of at most ``_PASS`` pixels (or one row, if a row is longer). A pixel's
+    A pass resamples the whole planes of as many candidates as fit in
+    ``_PASS`` pixels, or else a block of rows (or one row) of one. A pixel's
     weights follow SciPy's order-1 rule: with f the fraction of a source
     coordinate, w0 = 1 - f and w1 = 1 - w0 (not always equal to f). Each
     corner term is (v * wy) * wx, and the four terms are summed in SciPy's
@@ -160,47 +159,51 @@ def resample(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.n
     """
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
-    m = center_adjusted(params, image_center(moving))[1::-1, :, None, None]  # rows: y, x
+    m = _center_adjusted(vectors, image_center(moving))[:, ::-1].T[..., None, None]  # [x/y/1, y/x]
     xs, ys, upper, corners = _grid(height, width)
     planes = moving.reshape(-1, height * width)
     k = len(planes)
-    mask = np.empty((height, width), dtype=bool)
-    cols = m[:, 0] * xs
+    masks = np.empty((m.shape[2], height, width), dtype=bool)
     rows = max(1, _PASS // width)
-    buf = _buffer(k * (height + 4 * min(rows, height)) * width)
-    samples, gathered = buf[:k * height * width].reshape(k, -1), buf[k * height * width:]
+    group = min(len(masks), rows // height) or 1  # candidates per pass
+    buf = _buffer(k * (masks.size + 4 * group * min(rows, height) * width))
+    samples, gathered = buf[:k * masks.size].reshape(k, -1), buf[k * masks.size:]
     done = 0
-    for top in range(0, height, rows):
-        coords = cols + m[:, 1] * ys[top:top + rows]
-        coords += m[:, 2]
-        inside = coords >= 0.0
-        inside &= coords <= upper
-        block = mask[top:top + rows]
-        np.logical_and(inside[0], inside[1], out=block)
-        pixels = block.ravel().nonzero()[0]
-        n = pixels.size
-        # w[0] and w[1] hold (wy0, wx0) and (wy1, wx1); "clip" lets take
-        # write into its out= argument without a buffer copy
-        w = np.empty((2, 2, n))
-        coords.reshape(2, -1).take(pixels, axis=1, out=w[1], mode="clip")
-        corner = w[1].astype(np.intp)  # truncation is floor: coords >= 0
-        w[1] -= corner
-        np.subtract(1.0, w[1], out=w[0])
-        np.subtract(1.0, w[0], out=w[1])
-        index = corner[0] * width
-        index += corner[1]
-        # v[p, a, b] is plane p at source corner (y + a, x + b)
-        v = gathered[:k * 4 * n].reshape(k, 2, 2, n)
-        planes.take(index + corners, axis=1, out=v, mode="clip")
-        v *= w[:, 0, None]
-        v *= w[:, 1]
-        acc = samples[:, done:done + n]
-        np.add(v[:, 0, 0], v[:, 0, 1], out=acc)
-        acc += v[:, 1, 0]
-        acc += v[:, 1, 1]
-        acc += 0.0
-        done += n
-    return samples[:, :done], mask
+    for first in range(0, len(masks), group):
+        pass_m = m[:, :, first:first + group]
+        cols = pass_m[0] * xs
+        for top in range(0, height, rows):
+            coords = cols + pass_m[1] * ys[top:top + rows]
+            coords += pass_m[2]
+            coords = coords.reshape(2, -1, width)  # candidates' rows one after another
+            inside = coords >= 0.0
+            inside &= coords <= upper
+            block = masks[first:first + group, top:top + rows].reshape(-1, width)  # a view
+            np.logical_and(inside[0], inside[1], out=block)
+            pixels = block.ravel().nonzero()[0]
+            n = pixels.size
+            # w[0] and w[1] hold (wy0, wx0) and (wy1, wx1); "clip" lets take
+            # write into its out= argument without a buffer copy
+            w = np.empty((2, 2, n))
+            coords.reshape(2, -1).take(pixels, axis=1, out=w[1], mode="clip")
+            corner = w[1].astype(np.intp)  # truncation is floor: coords >= 0
+            w[1] -= corner
+            np.subtract(1.0, w[1], out=w[0])
+            np.subtract(1.0, w[0], out=w[1])
+            index = corner[0] * width
+            index += corner[1]
+            # v[p, a, b] is plane p at source corner (y + a, x + b)
+            v = gathered[:k * 4 * n].reshape(k, 2, 2, n)
+            planes.take(index + corners, axis=1, out=v, mode="clip")
+            v *= w[:, 0, None]
+            v *= w[:, 1]
+            acc = samples[:, done:done + n]
+            np.add(v[:, 0, 0], v[:, 0, 1], out=acc)
+            acc += v[:, 1, 0]
+            acc += v[:, 1, 1]
+            acc += 0.0
+            done += n
+    return samples[:, :done], masks
 
 
 def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarray]:
@@ -215,22 +218,15 @@ def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
     ``scipy.ndimage.map_coordinates(order=1, mode="constant")`` byte for
     byte: it is ``resample``'s samples, scattered into zeros.
     """
-    samples, mask = resample(moving, params)
+    samples, (mask,) = resample(moving, params.as_vector())
     out = np.zeros((len(samples), mask.size))
     out[:, mask.ravel()] = samples
     return out.reshape(np.shape(moving)), mask
 
 
 def params_to_dict(params: AffineParams, center: tuple[float, float]) -> dict:
-    return {
-        "tx": params.tx,
-        "ty": params.ty,
-        "theta_rad": params.theta,
-        "sx": params.sx,
-        "sy": params.sy,
-        "k": params.k,
-        "center": [center[0], center[1]],
-    }
+    return {"tx": params.tx, "ty": params.ty, "theta_rad": params.theta, "sx": params.sx,
+            "sy": params.sy, "k": params.k, "center": [center[0], center[1]]}
 
 
 def save_params(params: AffineParams, center: tuple[float, float], path) -> None:

@@ -101,7 +101,7 @@ def test_criterion_2_property_suite():
 
     # optimizer radius bookkeeping, exact
     ocfg = OptimizerConfig(seed=1, max_iterations=300)
-    _, trace = optimize(lambda p: -(p.tx - 2.0) ** 2 - p.ty ** 2, AffineParams(), ocfg)
+    _, trace = optimize(lambda p, ahead=(): -(p.tx - 2.0) ** 2 - p.ty ** 2, AffineParams(), ocfg)
     for prev, cur in zip(trace.records, trace.records[1:]):
         factor = GROWTH_FACTOR if prev.accepted else SHRINK_FACTOR
         assert cur.radius == prev.radius * factor

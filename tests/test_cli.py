@@ -182,6 +182,33 @@ def test_register_bad_bins_names_the_cause(tmp_path, capsys):
     assert "histogram_bins must be >= 2" in capsys.readouterr().err
 
 
+# NumPy refuses a 10**19-edge histogram outright: unchecked, the run
+# registered every level and failed only in its final metric
+HUGE_BINS = str(10**19)
+
+
+def test_register_huge_bins_fails_before_registering(tmp_path, capsys, monkeypatch):
+    fx = tmp_path / "fx"
+    _synth(fx, seed=1)
+    calls = _register_spy(monkeypatch)
+    rc = main([
+        "register", "--method", "pyramid", "--bins", HUGE_BINS, "--max-iterations", "1",
+        str(fx / "fixed.pgm"), str(fx / "moving.pgm"), "-o", str(tmp_path / "o"),
+    ])
+    assert rc == 1
+    assert calls == []
+    assert "histogram_bins must be >= 2 and <= 1024" in capsys.readouterr().err
+
+
+def test_compare_huge_bins_fails_without_a_report(tmp_path, capsys):
+    root = _make_pairs(tmp_path, 1)
+    rc = main(["compare", str(root), "--bins", HUGE_BINS, "--max-iterations", "1",
+               "-o", str(tmp_path / "o")])
+    assert rc == 1
+    assert "histogram_bins must be >= 2 and <= 1024" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
 def _leaves(config, prefix=""):
     """(dotted name, value) of every field, nested dataclasses flattened."""
     for f in dataclasses.fields(config):
@@ -198,7 +225,7 @@ def test_every_config_field_is_set_by_a_register_flag():
     args = _build_parser().parse_args([
         "register", "--method", "wavelet", "fixed.pgm", "moving.pgm",
         "--seed", "3", "--levels", "2", "--bins", "20", "--max-iterations", "7",
-        "--subband-objective", "ll_only", "-o", "out"])
+        "-o", "out"])
     config = _make_config(args, METHOD_ALIASES[args.method])
     default = dict(_leaves(wavereg.RegistrationConfig()))
     assert [name for name, value in _leaves(config) if value == default[name]] == []

@@ -2,22 +2,27 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import wavereg.optimizer
 from wavereg import AffineParams, OptimizerConfig
 from wavereg.optimizer import (
     EPSILON,
     GROWTH_FACTOR,
     INITIAL_RADIUS,
     SHRINK_FACTOR,
+    WINDOW,
+    IterationRecord,
+    OptimizerTrace,
     optimize,
     trace_to_csv,
 )
 
 
-def quadratic(p):
+def quadratic(p, ahead=()):
     return -((p.tx - 3.0) ** 2 + (p.ty + 1.0) ** 2)
 
 
@@ -39,7 +44,7 @@ def test_zero_iterations_returns_start():
 
 def test_invalid_start_raises():
     with pytest.raises(ValueError, match="invalid start"):
-        optimize(lambda p: math.inf, AffineParams(), OptimizerConfig())
+        optimize(lambda p, ahead=(): math.inf, AffineParams(), OptimizerConfig())
 
 
 def test_quadratic_convergence(trans_only):
@@ -57,7 +62,7 @@ def test_quadratic_convergence(trans_only):
 def test_all_rejections_radius_decay():
     # enough budget that the epsilon rule, not the iteration cap, stops it
     cfg = OptimizerConfig(seed=3, max_iterations=5000)
-    best, trace = optimize(lambda p: 0.0, AffineParams(), cfg)
+    best, trace = optimize(lambda p, ahead=(): 0.0, AffineParams(), cfg)
     g, r0 = GROWTH_FACTOR, INITIAL_RADIUS
     k = math.ceil(math.log(r0 / EPSILON) / (0.25 * math.log(g)))
     assert len(trace.records) == k
@@ -96,7 +101,7 @@ def test_best_so_far_monotone(trans_only):
 def test_nonpositive_scale_candidates_auto_rejected(monkeypatch):
     calls = []
 
-    def spy(p):
+    def spy(p, ahead=()):
         calls.append(p)
         return quadratic(p)
 
@@ -145,3 +150,113 @@ def test_trace_csv(tmp_path, trans_only):
         assert float(row["radius"]) == rec.radius
         assert float(row["tx"]) == rec.params.tx
         assert int(row["accepted"]) == int(rec.accepted)
+
+
+def _reference_optimize(objective, p0, config):
+    """The (1+1)-ES one candidate at a time, one ``standard_normal(6)`` draw
+    per iteration: the loop ``optimize`` plans ahead of."""
+    rng = np.random.default_rng(config.seed)
+    scales = np.asarray(wavereg.optimizer.PARAM_SCALES, dtype=np.float64)
+    radius = INITIAL_RADIUS
+    trace = OptimizerTrace(best_value=float(objective(p0)), best_params=p0)
+    for it in range(config.max_iterations):
+        if radius < EPSILON:
+            break
+        step = radius * scales * rng.standard_normal(6)
+        candidate = AffineParams.from_vector(trace.best_params.as_vector() + step)
+        value, accepted = math.nan, False
+        if candidate.sx > 0 and candidate.sy > 0:
+            value = float(objective(candidate))
+            accepted = math.isfinite(value) and value > trace.best_value
+        trace.records.append(IterationRecord(it, candidate, value, accepted, radius))
+        if accepted:
+            trace.best_value, trace.best_params = value, candidate
+            radius *= GROWTH_FACTOR
+        else:
+            radius *= SHRINK_FACTOR
+    if radius < EPSILON:
+        trace.termination_reason = "radius_below_epsilon"
+    return trace.best_params, trace
+
+
+class _LookAhead:
+    """Scores a call's ``ahead`` rows with it and answers a later call from
+    them when its parameter vector matches byte for byte."""
+
+    def __init__(self, f):
+        self.f, self.kept, self.offered, self.asked, self.hits = f, {}, [], [], 0
+
+    def __call__(self, p, ahead=()):
+        key = p.as_vector().tobytes()
+        self.asked.append(key)
+        if key in self.kept:
+            self.hits += 1
+            return self.kept[key]
+        rows = np.reshape(ahead, (-1, 6))
+        assert (rows[:, 3] > 0).all() and (rows[:, 4] > 0).all()
+        self.offered += [row.tobytes() for row in rows]
+        self.kept = {row.tobytes(): self.f(AffineParams.from_vector(row)) for row in rows}
+        self.kept[key] = self.f(p)
+        return self.kept[key]
+
+
+def _trace_bytes(result):
+    best, trace = result
+    return (best.as_vector().tobytes(), trace.best_value.hex(), trace.termination_reason,
+            [(r.iteration, r.params.as_vector().tobytes(), np.float64(r.value).tobytes(),
+              r.accepted, r.radius.hex()) for r in trace.records])
+
+
+@pytest.mark.parametrize("case", ["accept", "auto_reject", "epsilon", "ragged", "zero"])
+def test_look_ahead_leaves_the_trace_unchanged(case, monkeypatch):
+    """An objective that scores the ``ahead`` rows and one that ignores them
+    see the same trace, record by record and bit for bit, and it is the
+    trace of the one-candidate-at-a-time loop."""
+    f, cfg = quadratic, OptimizerConfig(seed=1, max_iterations=500)
+    if case == "auto_reject":  # large scale steps cross sx <= 0 inside a window
+        monkeypatch.setattr("wavereg.optimizer.PARAM_SCALES", (0.0, 0.0, 0.0, 3000.0, 3000.0, 0.0))
+        cfg = OptimizerConfig(seed=7, max_iterations=100)
+    elif case == "epsilon":  # never improves: the radius crosses EPSILON mid-window
+        f, cfg = (lambda p: 0.0), OptimizerConfig(seed=3, max_iterations=5000)
+    elif case == "ragged":  # the budget ends mid-window
+        f, cfg = (lambda p: 0.0), OptimizerConfig(seed=2, max_iterations=3 * WINDOW + 5)
+    elif case == "zero":
+        cfg = OptimizerConfig(seed=2, max_iterations=0)
+    look = _LookAhead(f)
+    ahead = optimize(look, AffineParams(), cfg)
+    plain = optimize(lambda p, ahead=(): f(p), AffineParams(), cfg)
+    assert _trace_bytes(ahead) == _trace_bytes(plain)
+    assert _trace_bytes(plain) == _trace_bytes(_reference_optimize(f, AffineParams(), cfg))
+    records = plain[1].records
+    if case == "accept":
+        assert any(r.accepted for r in records[1:] if r.iteration % WINDOW)
+    elif case == "auto_reject":
+        assert any(math.isnan(r.value) for r in records if r.iteration % WINDOW)
+    elif case == "epsilon":
+        assert plain[1].termination_reason == "radius_below_epsilon"
+        assert len(records) % WINDOW
+    elif case == "ragged":
+        assert len(records) == cfg.max_iterations and cfg.max_iterations % WINDOW
+    if case != "zero":
+        assert look.hits > 0
+    if not any(r.accepted for r in records):
+        # every row offered was asked for next, in order: none lay past the
+        # budget, the EPSILON stop or an auto-reject
+        offered = set(look.offered)
+        assert [key for key in look.asked if key in offered] == look.offered
+
+
+def test_a_huge_budget_is_never_drawn_at_once():
+    # the deviates come one window at a time, so a budget of 10**12 that
+    # the EPSILON rule ends early costs what it uses
+    tracemalloc.start()
+    try:
+        _, trace = optimize(lambda p, ahead=(): 0.0, AffineParams(),
+                            OptimizerConfig(seed=3, max_iterations=10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.termination_reason == "radius_below_epsilon"
+    assert len(trace.records) == math.ceil(
+        math.log(INITIAL_RADIUS / EPSILON) / (0.25 * math.log(GROWTH_FACTOR)))
+    assert peak < 16 * 2**20

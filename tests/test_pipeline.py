@@ -147,14 +147,6 @@ def test_result_invariants():
         assert r.mask.dtype == bool
 
 
-def test_ll_only_objective_runs():
-    fixed = _phantom()
-    cfg = _config("dwt_pyramid")
-    cfg.subband_objective = "ll_only"
-    r = register(fixed, fixed, cfg)
-    assert abs(r.params.tx) < 0.5
-
-
 def test_too_small_images_rejected():
     img = np.zeros((16, 16))
     with pytest.raises(ValueError, match="at least"):
@@ -191,8 +183,6 @@ def test_config_validation():
         RegistrationConfig(method="icp").validate()
     with pytest.raises(ValueError):
         RegistrationConfig(pyramid_levels=0).validate()
-    with pytest.raises(ValueError, match="subband objective"):
-        RegistrationConfig(subband_objective="hh_only").validate()
 
 
 def test_reconstruct_from_bands_identity():
@@ -254,6 +244,19 @@ def test_bad_histogram_bins_fails_fast(method, bins):
         register(fixed, fixed, cfg)
 
 
+def test_huge_histogram_bins_fails_fast():
+    # unchecked, the run registered every level and then asked NumPy for
+    # a 10**19-edge histogram in its final metric
+    fixed = _phantom()
+    cfg = _config("pyramid", histogram_bins=10**19)
+    cfg.optimizer = OptimizerConfig(max_iterations=1)
+    with pytest.raises(ValueError, match="histogram_bins must be >= 2 and <= 1024, got 10"):
+        register(fixed, fixed, cfg)
+    RegistrationConfig(histogram_bins=1024).validate()
+    with pytest.raises(ValueError, match="histogram_bins must be >= 2 and <= 1024, got 1025"):
+        RegistrationConfig(histogram_bins=1025).validate()
+
+
 def test_config_validation_covers_metric_and_optimizer():
     with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
         RegistrationConfig(histogram_bins=1).validate()
@@ -283,12 +286,10 @@ def _rotated_invert_pair():
     return fixed, moving
 
 
-@pytest.mark.parametrize("objective", ["sum_all_bands", "ll_only"])
-def test_wavelet_is_one_level_dwt_pyramid(objective):
+def test_wavelet_is_one_level_dwt_pyramid():
     fixed, moving = _rotated_invert_pair()
     cfg = RegistrationConfig(
-        method="wavelet", subband_objective=objective,
-        optimizer=OptimizerConfig(seed=9, max_iterations=40),
+        method="wavelet", optimizer=OptimizerConfig(seed=9, max_iterations=40),
     )
     a = register(fixed, moving, cfg)
     b = register(fixed, moving, replace(cfg, method="dwt_pyramid", pyramid_levels=1))
@@ -307,14 +308,12 @@ GOLDEN_DIGESTS = {
     "pyramid": "c30761a2bffb6a48861444d1cb0311a652efb525a3f4131c706d873b8c2a75bd",
     "wavelet": "34a88fcc38bcbb230bb8758ac8afa25af900a5bf1399c1973aeacb9c228b50e0",
     "dwt_pyramid": "c542b30bed11ef0b451eb86d194bd56f76bc52a700c0da3f09b9a3ca4c2cfb7e",
-    "dwt_pyramid-ll_only": "7b4136f7fa72b18292191e21bd06bafe5235e6ab6b2a42a6d15f6b762f5259c0",
     "dwt_pyramid-61x59": "f84d183a9bc658f34253b96d07af6c56fad2373929d848a7fb7eea777c45bbfb",
 }
 
 # cases beyond a method's defaults: (method, config fields, crop of the pair);
 # the odd crop goes through dwt2's edge padding and idwt2's crop
 GOLDEN_CASES = {
-    "dwt_pyramid-ll_only": ("dwt_pyramid", {"subband_objective": "ll_only"}, (64, 64)),
     "dwt_pyramid-61x59": ("dwt_pyramid", {}, (61, 59)),
 }
 
@@ -378,33 +377,72 @@ def _objective_levels():
     broken = f.copy()
     broken[1, 5, 5] = np.inf
     yield "non-finite-fixed", broken, m
+    # flat over the overlap of some transforms only: a shift of tx = -11
+    # keeps fixed columns from 11 on and moving columns up to 21
+    part_fixed, part_moving = f.copy(), m.copy()
+    part_fixed[2, :, 10:] = 7.0
+    part_moving[0, :, :22] = -3.0
+    yield "part-flat", part_fixed, part_moving
 
 
 def test_level_objective_equals_summed_mi_between():
     """The per-level objective gives the bits of ``_summed_mi`` at random
     transforms, including lost overlaps, masked fixed ranges narrower than
-    the plane's and more distinct ranges than a plane's memo keeps."""
+    the plane's and more distinct ranges than a plane's memo keeps. Scored
+    in batches of up to 8, mixing lost overlaps, flat pairs and non-finite
+    ranges, each candidate gets the bits of its lone evaluation."""
     rng = np.random.default_rng(99)
-    narrower = evicted = lost = 0
+    narrower = evicted = lost = mixed = 0
     for name, fixed, moving in _objective_levels():
         objective = _LevelObjective(fixed, moving, 50)
         ranges = set()
+        size = moving.shape[-1]
+        expected = {}
         for i in range(60):
-            size = moving.shape[-1]
             p = AffineParams(
                 tx=rng.normal() * size / 12, ty=rng.normal() * size / 12,
                 theta=rng.normal() * 0.1, sx=rng.uniform(0.9, 1.1),
                 sy=rng.uniform(0.9, 1.1), k=rng.normal() * 0.05)
             if i % 20 == 19:
                 p = AffineParams(tx=0.6 * size)  # keeps less than half the level
-            expected = _summed_mi(fixed, moving, objective.bins, p)
-            assert objective(p).hex() == expected.hex(), (name, i, p)
-            lost += expected == -math.inf
+            if i % 20 == 9:
+                p = AffineParams(tx=-11.0, ty=rng.normal())  # the part-flat level's flat pairs
+            expected[p] = _summed_mi(fixed, moving, objective.bins, p)
+            assert objective(p).hex() == expected[p].hex(), (name, i, p)
+            lost += expected[p] == -math.inf
             mask = warp(moving, p)[1]
             if name.startswith(("phantom", "noise", "crop")) and mask.any():
                 masked = fixed[0][mask]
                 ranges.add((masked.min(), masked.max()))
                 narrower += (masked.min(), masked.max()) != (fixed[0].min(), fixed[0].max())
         evicted += len(ranges) > _MEMO_SIZE
+        candidates = list(expected)
+        specials = [p for p in candidates if p.tx in (0.6 * size, -11.0)]
+        for _ in range(12):
+            picks = rng.choice(len(candidates), size=rng.integers(1, 8), replace=False)
+            batch = [candidates[j] for j in picks] + [specials[rng.integers(len(specials))]]
+            rng.shuffle(batch)
+            values = objective._score(np.array([p.as_vector() for p in batch]))
+            assert [v.hex() for v in values] == [expected[p].hex() for p in batch], name
+            mixed += -math.inf in values and not all(map(math.isinf, values))
         assert all(len(memo) <= _MEMO_SIZE for memo in objective.memo)
-    assert narrower > 0 and evicted > 0 and lost > 0
+    assert narrower > 0 and evicted > 0 and lost > 0 and mixed > 0
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+def test_one_objective_call_per_evaluated_record(method, monkeypatch):
+    """Scoring candidates ahead never changes the calls: ``register`` makes
+    one objective call per evaluated trace record, plus two per level at
+    its start point, while small levels score several per pass."""
+    calls, passes = [], []
+    call, score = _LevelObjective.__call__, _LevelObjective._score
+    monkeypatch.setattr(_LevelObjective, "__call__",
+                        lambda self, p, ahead=(): calls.append(p) or call(self, p, ahead))
+    monkeypatch.setattr(_LevelObjective, "_score",
+                        lambda self, vectors: passes.append(len(vectors)) or score(self, vectors))
+    fixed, moving = _rotated_invert_pair()
+    r = register(fixed, moving, RegistrationConfig(
+        method=method, optimizer=OptimizerConfig(seed=9, max_iterations=60)))
+    evaluated = sum(not math.isnan(rec.value) for t in r.traces for rec in t.records)
+    assert len(calls) == evaluated + 2 * len(r.traces)
+    assert len(passes) < len(calls) and max(passes) > 1

@@ -12,7 +12,7 @@ from scipy.ndimage import map_coordinates
 
 from wavereg import AffineParams, invert_params
 from wavereg.transform import (
-    _linear_part,
+    _center_adjusted,
     center_adjusted,
     image_center,
     resample,
@@ -23,6 +23,13 @@ from wavereg.transform import (
 
 
 ORIGIN = (0.0, 0.0)
+
+
+def _linear_part(params):
+    """Rotation * Skew * Scaling, written out one matrix at a time."""
+    c, s = np.cos(params.theta), np.sin(params.theta)
+    sx, sy, k = params.sx, params.sy, params.k
+    return np.array([[sx * c, sy * (k * c - s)], [sx * s, sy * (k * s + c)]])
 
 
 def _matrix(params):
@@ -257,7 +264,7 @@ def test_resample_gives_the_masked_samples_of_warp():
     rng = np.random.default_rng(2024)
     for stack, params in _warp_cases(rng):
         warped, mask = warp(stack, params)
-        samples, samples_mask = resample(stack, params)
+        samples, (samples_mask,) = resample(stack, params.as_vector())
         assert np.array_equal(samples_mask, mask)
         assert samples.shape == (len(stack), np.count_nonzero(mask))
         assert samples.tobytes() == warped[:, mask].tobytes()
@@ -301,6 +308,52 @@ def test_center_adjusted_bytes_equal_matrix_formula():
         ref[:2, :2] = a
         ref[:2, 2] = np.array([p.tx, p.ty]) + c - a @ c
         assert center_adjusted(p, center).tobytes() == ref.tobytes()
+
+
+def test_batched_matrices_equal_center_adjusted():
+    """A (B, 6) stack's matrix rows have the bytes of one ``center_adjusted``
+    call each, and of the matrix formula, on 20,000 random parameter sets:
+    a stacked ``a @ c`` rounds as each product alone does, where ``einsum``
+    or the written-out sum ``a00 * cx + a01 * cy`` would not."""
+    rng = np.random.default_rng(12)
+    done = 0
+    while done < 20_000:
+        b = int(rng.integers(1, 9))
+        vectors = np.column_stack([
+            rng.normal(size=b) * 20, rng.normal(size=b) * 20, rng.uniform(-3, 3, b),
+            rng.uniform(0.3, 3, b), rng.uniform(0.3, 3, b), rng.uniform(-0.5, 0.5, b)])
+        center = (int(rng.integers(0, 300)), 7) if done % 5 == 0 else tuple(rng.uniform(0, 300, 2))
+        stacked = _center_adjusted(vectors, center)
+        for row, matrix in zip(vectors, stacked):
+            p = AffineParams.from_vector(row)
+            a = _linear_part(p)
+            ref = np.eye(3)
+            ref[:2, :2] = a
+            ref[:2, 2] = np.array([p.tx, p.ty]) + np.array(center) - a @ np.array(center)
+            alone = center_adjusted(p, center)[:2]
+            assert matrix.tobytes() == alone.tobytes() == ref[:2].tobytes()
+        done += b
+
+
+def test_resample_batches_equal_lone_calls():
+    """Each candidate of a ``resample`` stack gets the samples and mask of its
+    lone call, byte for byte, whether a pass holds several candidates' whole
+    planes or one candidate's block of rows."""
+    rng = np.random.default_rng(77)
+    cases = list(_warp_cases(rng))
+    for i, (stack, params) in enumerate(cases):
+        others = [cases[j][1] for j in rng.choice(len(cases), size=int(rng.integers(0, 8)))]
+        batch = [params, *others, AffineParams(tx=1000.0)][: 1 + i % 9]  # some with empty masks
+        samples, masks = resample(stack, np.array([p.as_vector() for p in batch]))
+        samples = samples.copy()  # the next call reuses the buffer
+        done = 0
+        for p, mask in zip(batch, masks):
+            alone, (alone_mask,) = resample(stack, p.as_vector())
+            n = alone.shape[1]
+            assert np.array_equal(mask, alone_mask)
+            assert samples[:, done:done + n].tobytes() == alone.tobytes()
+            done += n
+        assert done == samples.shape[1]
 
 
 def test_params_json_roundtrip(tmp_path):
