@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -17,10 +16,10 @@ import sys
 import numpy as np
 
 from . import fixtures
-from .imageio import PnmError, load_pgm, overlay_diff, save_pgm, save_ppm
+from .imageio import PnmError, load_pgm, overlay_diff, save_json, save_pgm, save_ppm
 from .optimizer import OptimizerConfig, trace_to_csv
 from .pipeline import RegistrationConfig, RegistrationError, register
-from .transform import AffineParams, image_center, save_params
+from .transform import AffineParams, image_center, params_to_dict
 
 PATTERN_ALIASES = {
     "phantom": "phantom_ellipses",
@@ -72,18 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True, help="output directory")
 
-    p = sub.add_parser("register", help="register a moving image onto a fixed one",
-                       description=MAX_MI_NOTE)
-    p.add_argument("--method", choices=sorted(METHOD_ALIASES), required=True)
-    p.add_argument("fixed")
-    p.add_argument("moving")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("-o", "--out", required=True, help="output directory")
+    reg = sub.add_parser("register", help="register a moving image onto a fixed one",
+                         description=MAX_MI_NOTE)
+    reg.add_argument("--method", choices=sorted(METHOD_ALIASES), required=True)
+    reg.add_argument("fixed")
+    reg.add_argument("moving")
 
-    p = sub.add_parser(
+    comp = sub.add_parser(
         "compare", help="run all three methods over a manifest",
         description="Run all three methods on every pair and write "
                     "report.csv. A pair that cannot be read or a "
@@ -92,14 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pairs still report. " + MAX_MI_NOTE,
         epilog=EXIT_CODES,
     )
-    p.add_argument("manifest",
-                   help="CSV manifest (id,fixed_path,moving_path) or a "
-                        "directory of fixture subdirectories")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("-o", "--out", required=True, help="output directory")
+    comp.add_argument("manifest",
+                      help="CSV manifest (id,fixed_path,moving_path) or a "
+                           "directory of fixture subdirectories")
+    for p in (reg, comp):  # the run options, after each command's own arguments
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--levels", type=int, default=3)
+        p.add_argument("--bins", type=int, default=50)
+        p.add_argument("--max-iterations", type=int, default=500)
+        p.add_argument("-o", "--out", required=True, help="output directory")
 
     p = sub.add_parser("diff", help="grey/fuchsia overlay of two images")
     p.add_argument("fixed")
@@ -144,8 +139,8 @@ def _write_result(result, fixed, out_dir) -> None:
     save_pgm(result.registered, os.path.join(out_dir, "registered.pgm"))
     save_pgm(result.mask.astype(np.float64) * 255.0,
              os.path.join(out_dir, "mask.pgm"))
-    save_params(result.params, image_center(fixed),
-                os.path.join(out_dir, "params.json"))
+    save_json(params_to_dict(result.params, image_center(fixed)),
+              os.path.join(out_dir, "params.json"))
     metrics = {
         "method": result.method,
         "max_mi_bits": result.max_mi_bits,
@@ -153,12 +148,9 @@ def _write_result(result, fixed, out_dir) -> None:
         "cc": result.cc,
         "overlap_pixels": int(np.count_nonzero(result.mask)),
     }
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
-    for i, trace in enumerate(result.traces):
-        # traces are ordered coarsest first; level index counts from finest
-        level = len(result.traces) - 1 - i
+    save_json(metrics, os.path.join(out_dir, "metrics.json"))
+    # traces are ordered coarsest first; level index counts from finest
+    for level, trace in enumerate(reversed(result.traces)):
         trace_to_csv(trace, os.path.join(out_dir, f"trace_level{level}.csv"))
 
 
@@ -183,7 +175,10 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
             fixed = os.path.join(d, "fixed.pgm")
             moving = os.path.join(d, "moving.pgm")
             if os.path.isfile(fixed) and os.path.isfile(moving):
-                pairs.append((os.path.basename(d.rstrip(os.sep)), fixed, moving))
+                pid = os.path.basename(d.rstrip(os.sep))
+                if any(pid == seen for seen, _, _ in pairs):  # only the root can repeat a name
+                    raise ValueError(f"repeated id {pid!r}: {path} and {d}")
+                pairs.append((pid, fixed, moving))
         return pairs
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
@@ -202,11 +197,8 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
                 raise ValueError(f"{where}: needs id, fixed_path and moving_path")
             if any(pid == seen for seen, _, _ in pairs):
                 raise ValueError(f"{where}: repeated id {pid!r}")
-            if not os.path.isabs(fixed):
-                fixed = os.path.join(base, fixed)
-            if not os.path.isabs(moving):
-                moving = os.path.join(base, moving)
-            pairs.append((pid, fixed, moving))
+            # an absolute path joins to itself
+            pairs.append((pid, os.path.join(base, fixed), os.path.join(base, moving)))
     return pairs
 
 
@@ -248,8 +240,7 @@ def compare_pairs(pairs, configs):
         cc_flags = _winner_flags({m: r.cc for m, r in results.items()})
         for method, outcome in outcomes.items():
             if isinstance(outcome, str):
-                row = {"max_mi_bits": "", "final_mi_bits": "", "cc": "",
-                       "mi_winner": 0, "cc_winner": 0, "status": outcome}
+                row = {"mi_winner": 0, "cc_winner": 0, "status": outcome}
             else:
                 wins[method]["mi"] += mi_flags[method]
                 wins[method]["cc"] += cc_flags[method]
@@ -261,9 +252,8 @@ def compare_pairs(pairs, configs):
                        "status": "ok"}
             rows.append({"id": pair_id, "method": method, **row})
     for method in configs:
-        rows.append({"id": "SUMMARY", "method": method, "max_mi_bits": "", "final_mi_bits": "",
-                     "cc": "", "mi_winner": wins[method]["mi"], "cc_winner": wins[method]["cc"],
-                     "status": ""})
+        rows.append({"id": "SUMMARY", "method": method, "mi_winner": wins[method]["mi"],
+                     "cc_winner": wins[method]["cc"], "status": ""})
     return rows
 
 
@@ -277,7 +267,7 @@ def _cmd_compare(args) -> int:
     rows = compare_pairs(pairs, configs)
     report_path = os.path.join(args.out, "report.csv")
     with open(report_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)  # absent cells are empty
         writer.writeheader()
         writer.writerows(rows)
     failed = sum(r["status"].startswith("error") for r in rows)

@@ -15,13 +15,12 @@ oracle) without importing SciPy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imageio import remap_intensity, save_pgm
+from .imageio import remap_intensity, save_json, save_pgm
 from .pyramid import _correlate_reflect
 from .transform import (
     AffineParams,
@@ -69,6 +68,9 @@ class FixtureSpec:
         # a NaN gamma would reach truth.json as the non-JSON token NaN
         if not math.isfinite(self.gamma) or self.remap == "gamma" and self.gamma <= 0:
             raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
+        for name, value in vars(self.truth).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _render_phantom(size: int) -> np.ndarray:
@@ -162,6 +164,4 @@ def write_fixture(spec: FixtureSpec, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_pgm(fixed, os.path.join(out_dir, "fixed.pgm"))
     save_pgm(moving, os.path.join(out_dir, "moving.pgm"))
-    with open(os.path.join(out_dir, "truth.json"), "w") as fh:
-        json.dump(sidecar_dict(spec), fh, indent=2)
-        fh.write("\n")
+    save_json(sidecar_dict(spec), os.path.join(out_dir, "truth.json"))

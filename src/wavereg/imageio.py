@@ -7,6 +7,8 @@ Masks are boolean arrays of the same shape. RGB overlays are
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -69,6 +71,9 @@ def load_pgm(path) -> np.ndarray:
             f"got {len(payload)}"
         )
     pixels = np.frombuffer(payload, dtype=dtype, count=count)
+    top = int(pixels.max())
+    if top > maxval:
+        raise PnmError(f"sample {top} exceeds maxval {maxval}")
     return pixels.reshape(height, width).astype(np.float64)
 
 
@@ -94,6 +99,23 @@ def save_ppm(rgb: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode())
         fh.write(rgb.astype(np.uint8).tobytes())
+
+
+def save_json(data, path) -> None:
+    """Write ``data`` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _image_mask(a, b, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two images as float64 and a mask as bool, all of one shape."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if a.shape != b.shape or a.shape != mask.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape} vs {mask.shape}")
+    return a, b, mask
 
 
 def remap_intensity(image: np.ndarray, mode: str, gamma: float = 2.0) -> np.ndarray:
@@ -138,14 +160,7 @@ def overlay_diff(
     Agreeing pixels (within 0.1 of that range) render grey, disagreeing
     pixels fuchsia, masked-out pixels black.
     """
-    fixed = np.asarray(fixed, dtype=np.float64)
-    registered = np.asarray(registered, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if fixed.shape != registered.shape or fixed.shape != mask.shape:
-        raise ValueError(
-            f"dimension mismatch: {fixed.shape} vs {registered.shape} "
-            f"vs {mask.shape}"
-        )
+    fixed, registered, mask = _image_mask(fixed, registered, mask)
     out = np.zeros(fixed.shape + (3,), dtype=np.uint8)
     if not mask.any():
         return out

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imageio import _image_mask
+
 
 @dataclass
 class JointHistogram:
@@ -86,13 +88,7 @@ def joint_histogram(
     """Accumulate the joint intensity histogram over the masked overlap."""
     if bins < 2:
         raise ValueError(f"histogram_bins must be >= 2, got {bins}")
-    fixed = np.asarray(fixed, dtype=np.float64)
-    moving = np.asarray(moving, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if fixed.shape != moving.shape or fixed.shape != mask.shape:
-        raise ValueError(
-            f"dimension mismatch: {fixed.shape} vs {moving.shape} vs {mask.shape}"
-        )
+    fixed, moving, mask = _image_mask(fixed, moving, mask)
     fvals = fixed[mask]
     mvals = moving[mask]
     if fvals.size == 0:
@@ -138,11 +134,7 @@ def mi_between(
 
 def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
     """Pearson r between the masked intensities of two images."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if a.shape != b.shape or a.shape != mask.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape} vs {mask.shape}")
+    a, b, mask = _image_mask(a, b, mask)
     x = a[mask]
     y = b[mask]
     if x.size < 2:

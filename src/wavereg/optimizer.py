@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -117,13 +117,8 @@ def trace_to_csv(trace: OptimizerTrace, path) -> None:
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iteration", "mi_bits", "accepted", "radius",
-             "tx", "ty", "theta", "sx", "sy", "k"]
-        )
+        writer.writerow(["iteration", "mi_bits", "accepted", "radius",
+                         *(f.name for f in fields(AffineParams))])
         for rec in trace.records:
-            p = rec.params
-            writer.writerow(
-                [rec.iteration, repr(rec.value), int(rec.accepted), repr(rec.radius),
-                 repr(p.tx), repr(p.ty), repr(p.theta), repr(p.sx), repr(p.sy), repr(p.k)]
-            )
+            writer.writerow([rec.iteration, repr(rec.value), int(rec.accepted), repr(rec.radius),
+                             *map(repr, astuple(rec.params))])

@@ -25,7 +25,6 @@ and reused temporaries keep a 128x128 or 256x256 call from page-faulting.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -227,9 +226,3 @@ def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
 def params_to_dict(params: AffineParams, center: tuple[float, float]) -> dict:
     return {"tx": params.tx, "ty": params.ty, "theta_rad": params.theta, "sx": params.sx,
             "sy": params.sy, "k": params.k, "center": [center[0], center[1]]}
-
-
-def save_params(params: AffineParams, center: tuple[float, float], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(params, center), fh, indent=2)
-        fh.write("\n")

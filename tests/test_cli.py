@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,9 @@ def test_synth_produces_files(tmp_path):
     _synth(out, pattern="phantom", tx=8, ty=-5, seed=7)
     assert (out / "fixed.pgm").is_file()
     assert (out / "moving.pgm").is_file()
-    side = json.loads((out / "truth.json").read_text())
+    text = (out / "truth.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    side = json.loads(text)
     assert side["truth"]["tx"] == 8.0
     assert side["truth"]["ty"] == -5.0
 
@@ -60,11 +63,16 @@ def test_synth_unusable_transform_exit_1(tmp_path, capsys):
     (["--noise-sigma", "nan"], "noise_sigma"),
     (["--noise-sigma", "inf"], "noise_sigma"),
     (["--gamma", "nan"], "gamma"),  # the default remap does not use gamma
+    (["--theta-deg", "nan"], "theta"),
+    (["--tx", "inf"], "tx"),
+    (["--sx", "nan"], "sx"),
+    (["--shear", "nan"], "k"),
 ])
 def test_synth_non_finite_setting_writes_nothing(tmp_path, capsys, option, field):
     # a NaN gamma used to write a moving.pgm of only 0 and 255, and a NaN
     # noise sigma silently dropped the noise; a NaN gamma with another
-    # remap was written to truth.json as NaN, which is not JSON
+    # remap was written to truth.json as NaN, which is not JSON; a
+    # non-finite transform was reported as pushing the image out of bounds
     out = tmp_path / "g"
     assert main(["synth", "--size", "64", *option, "-o", str(out)]) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
@@ -91,6 +99,9 @@ def test_register_identity_pair(tmp_path):
         str(fx / "moving.pgm"), "--seed", "0", "-o", str(out),
     ])
     assert rc == 0
+    for name in ("params.json", "metrics.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["cc"] >= 0.99
     assert metrics["method"] == "pyramid"
@@ -308,6 +319,18 @@ def test_compare_bad_manifest_row_exit_1(tmp_path, capsys, rows, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_compare_repeated_directory_id_exit_1(tmp_path, capsys):
+    # a root holding a pair and a subdirectory of the same name used to
+    # report both pairs under one id
+    root = tmp_path / "pairs"
+    _synth(root, tx=2)
+    _synth(root / "pairs", tx=2)
+    assert main(["compare", str(root), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: repeated id 'pairs': {root} and {root / 'pairs'}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _report(out):
     with open(out / "report.csv", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -342,6 +365,11 @@ def test_compare_survives_failed_pairs(tmp_path, capsys):
         assert (r["mi_winner"], r["cc_winner"]) == ("0", "0")
     assert all("moving image is constant" in r["status"] for r in rows[:3])
     assert all("missing.pgm" in r["status"] for r in rows[3:6])
+    # error and SUMMARY rows leave their metric cells, and SUMMARY its status, empty
+    lines = (tmp_path / "cmp" / "report.csv").read_text().splitlines()
+    assert all(line.startswith(f"{r['id']},{r['method']},,,,0,0,")
+               for line, r in zip(lines[1:7], rows))
+    assert all(re.fullmatch(r"SUMMARY,\w+,,,,\d+,\d+,", line) for line in lines[-3:])
 
     # the good pair reports exactly what a clean run of it alone reports
     alone = tmp_path / "alone.csv"

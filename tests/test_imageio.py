@@ -42,6 +42,18 @@ def test_load_truncated_payload(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n2 2\n100\n" + bytes([0, 100, 200, 50]), "sample 200 exceeds maxval 100"),
+    (b"P5\n2 1\n300\n" + bytes([1, 44, 255, 255]), "sample 65535 exceeds maxval 300"),
+], ids=["8-bit", "16-bit"])
+def test_load_rejects_samples_above_maxval(tmp_path, data, message):
+    # such samples used to load as they were, above the file's own white
+    path = tmp_path / "over.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PnmError, match=message):
+        load_pgm(path)
+
+
 def test_save_clamps_and_rounds(tmp_path):
     path = tmp_path / "q.pgm"
     save_pgm(np.array([[0.0, 255.4, -3.0]]), path)

@@ -11,12 +11,13 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from wavereg import AffineParams, invert_params
+from wavereg.imageio import save_json
 from wavereg.transform import (
     _center_adjusted,
     center_adjusted,
     image_center,
+    params_to_dict,
     resample,
-    save_params,
     scale_params_between_levels,
     warp,
 )
@@ -359,7 +360,7 @@ def test_resample_batches_equal_lone_calls():
 def test_params_json_roundtrip(tmp_path):
     p = AffineParams(tx=1.25, ty=-0.5, theta=0.1, sx=1.05, sy=0.95, k=-0.02)
     path = tmp_path / "params.json"
-    save_params(p, (63.5, 63.5), path)
+    save_json(params_to_dict(p, (63.5, 63.5)), path)
     d = json.loads(path.read_text())
     assert AffineParams(d["tx"], d["ty"], d["theta_rad"], d["sx"], d["sy"], d["k"]) == p
     assert d["center"] == [63.5, 63.5]
