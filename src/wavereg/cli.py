@@ -42,6 +42,9 @@ MAX_MI_NOTE = ("max_mi_bits is the best value in the method's own objective spac
                "(for dwt_pyramid a sum of band MIs with clamped bins); compare "
                "methods by mi_bits (metrics.json) or final_mi_bits (report.csv).")
 
+MANIFEST_FIELDS = ("id", "fixed_path", "moving_path")
+SUMMARY_ID = "SUMMARY"  # the id of report.csv's summary rows, which no pair may take
+
 REPORT_FIELDS = ["id", "method", "max_mi_bits", "final_mi_bits", "cc",
                  "mi_winner", "cc_winner", "status"]
 
@@ -122,10 +125,8 @@ def _cmd_synth(args) -> int:
     spec = fixtures.FixtureSpec(
         base_pattern=PATTERN_ALIASES[args.pattern],
         size=args.size,
-        truth=AffineParams(
-            tx=args.tx, ty=args.ty, theta=math.radians(args.theta_deg),
-            sx=args.sx, sy=args.sy, k=args.shear,
-        ),
+        truth=AffineParams(tx=args.tx, ty=args.ty, theta=math.radians(args.theta_deg),
+                           sx=args.sx, sy=args.sy, k=args.shear),
         remap=args.remap,
         gamma=args.gamma,
         noise_sigma=args.noise_sigma,
@@ -176,6 +177,8 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
             moving = os.path.join(d, "moving.pgm")
             if os.path.isfile(fixed) and os.path.isfile(moving):
                 pid = os.path.basename(d.rstrip(os.sep))
+                if pid == SUMMARY_ID:
+                    raise ValueError(f"{d}: id {pid!r} is reserved for the summary rows")
                 if any(pid == seen for seen, _, _ in pairs):  # only the root can repeat a name
                     raise ValueError(f"repeated id {pid!r}: {path} and {d}")
                 pairs.append((pid, fixed, moving))
@@ -184,17 +187,18 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
     pairs = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {
-            "id", "fixed_path", "moving_path"
-        }.issubset(reader.fieldnames):
-            raise ValueError(
-                "manifest needs a header with id,fixed_path,moving_path"
-            )
+        if reader.fieldnames is None or not set(MANIFEST_FIELDS).issubset(reader.fieldnames):
+            raise ValueError("manifest needs a header with " + ",".join(MANIFEST_FIELDS))
         for row in reader:
             pid, fixed, moving = row["id"], row["fixed_path"], row["moving_path"]
             where = f"manifest line {reader.line_num}"
             if None in (pid, fixed, moving):  # a short row
                 raise ValueError(f"{where}: needs id, fixed_path and moving_path")
+            empty = [name for name in MANIFEST_FIELDS if not row[name]]
+            if empty:
+                raise ValueError(f"{where}: empty {', '.join(empty)}")
+            if pid == SUMMARY_ID:
+                raise ValueError(f"{where}: id {pid!r} is reserved for the summary rows")
             if any(pid == seen for seen, _, _ in pairs):
                 raise ValueError(f"{where}: repeated id {pid!r}")
             # an absolute path joins to itself
@@ -252,7 +256,7 @@ def compare_pairs(pairs, configs):
                        "status": "ok"}
             rows.append({"id": pair_id, "method": method, **row})
     for method in configs:
-        rows.append({"id": "SUMMARY", "method": method, "mi_winner": wins[method]["mi"],
+        rows.append({"id": SUMMARY_ID, "method": method, "mi_winner": wins[method]["mi"],
                      "cc_winner": wins[method]["cc"], "status": ""})
     return rows
 

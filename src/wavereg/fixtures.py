@@ -22,12 +22,7 @@ import numpy as np
 
 from .imageio import remap_intensity, save_json, save_pgm
 from .pyramid import _correlate_reflect
-from .transform import (
-    AffineParams,
-    invert_params,
-    params_to_dict,
-    warp,
-)
+from .transform import AffineParams, invert_params, params_to_dict, warp
 
 PATTERNS = ("phantom_ellipses", "checker", "noise_smoothed")
 

@@ -10,19 +10,21 @@ Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
 and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
-with the top edge counted in the last bin. One ``np.bincount`` over the
-flattened (fixed, moving) index then fills the joint histogram. The
-per-level objective shares these kernels.
+with the top edge counted in the last bin; the binning's temporaries live
+in per-thread memory reused from call to call (``transform._buffer``), and
+every array returned is new. One ``np.bincount`` fills the joint histogram.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .imageio import _image_mask
+from .transform import _PASS, _buffer
 
 
 @dataclass
@@ -49,7 +51,9 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
     """Index of the ``linspace(lo, hi, bins + 1)`` bin holding each value in
     [lo, hi]: the last edge not above it, the top edge in the last bin.
     ``values`` is one row with scalar bounds, or (r, n) rows with (r,) or, in
-    runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone."""
+    runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone.
+    Returns a new array. Its (r, n) temporaries live in reused ``_buffer``s, but
+    per-value bounds of a pass of values or fewer, which the heap recycles."""
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     rows = np.atleast_2d(values)
     step = (hi - lo) / bins
@@ -58,23 +62,36 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
     else:
         edges = np.array([np.linspace(a, b, bins + 1) for a, b in zip(lo[:, 0], hi[:, 0])])
     edges[:, -1] = np.inf  # the last bin includes the top edge
-    lower = edges.ravel()
-    upper = lower[1:]
+    lower = edges.ravel()  # and lower[1:] the upper edges
     # bounds r's edges start at r * (bins + 1); no value leaves its own, as
     # index 0 never steps down and the last bin never steps up
     offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None] if lo.size > 1 else 0
-    if lo.size > len(rows):  # each value takes its run's bounds
+    guess = edge = _buffer("edges", rows.shape)
+    down, up = _buffer("flags", (2, *rows.shape), bool)
+    if lo.size > len(rows) and rows.size <= _PASS:  # a pass: the heap recycles the repeats
         lo, hi, offsets = (x.reshape(len(rows), -1).repeat(counts, 1) for x in (lo, hi, offsets))
-    index = ((rows - lo) / (hi - lo) * bins).astype(np.intp)
+    if lo.size > len(rows) and rows.size > _PASS:  # row p's values in run j: bounds p * s + j
+        ids, bound = _buffer("bound_ids", rows.shape, np.intp), _buffer("bounds", rows.shape)
+        for j, (a, b) in enumerate(itertools.pairwise(itertools.accumulate([0, *counts]))):
+            ids[:, a:b] = np.arange(j, lo.size, len(counts))[:, None]
+        np.subtract(rows, lo.take(ids, out=bound, mode="clip"), out=guess)
+        guess /= (hi - lo).take(ids, out=bound, mode="clip")
+        offsets = np.multiply(ids, bins + 1, out=ids)
+    else:
+        np.subtract(rows, lo, out=guess)
+        guess /= hi - lo
+    guess *= bins
+    index = guess.astype(np.intp)
     np.minimum(index, bins - 1, out=index)
     index += offsets
-    # the arithmetic index can miss an edge by an ULP; when edges closer
-    # than an ULP repeat, one step is not always enough
+    # the arithmetic index can miss an edge by an ULP, and by more where edges
+    # repeat; "clip" takes write straight into out= (every index is in range)
     while True:
-        down = rows < lower[index]
-        up = rows >= upper[index]
+        np.less(rows, lower.take(index, out=edge, mode="clip"), out=down)
+        np.greater_equal(rows, lower[1:].take(index, out=edge, mode="clip"), out=up)
         if not (down.any() or up.any()):
-            return (index - offsets).reshape(values.shape)
+            index -= offsets
+            return index.reshape(values.shape)
         index -= down
         index += up
 
@@ -89,8 +106,7 @@ def joint_histogram(
     if bins < 2:
         raise ValueError(f"histogram_bins must be >= 2, got {bins}")
     fixed, moving, mask = _image_mask(fixed, moving, mask)
-    fvals = fixed[mask]
-    mvals = moving[mask]
+    fvals, mvals = fixed[mask], moving[mask]
     if fvals.size == 0:
         raise ValueError("no overlap: empty mask")
     fmin, fmax = float(fvals.min()), float(fvals.max())
@@ -135,12 +151,11 @@ def mi_between(
 def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
     """Pearson r between the masked intensities of two images."""
     a, b, mask = _image_mask(a, b, mask)
-    x = a[mask]
-    y = b[mask]
-    if x.size < 2:
+    dx, dy = a[mask], b[mask]  # new arrays, centered in place
+    if dx.size < 2:
         raise ValueError("need at least 2 masked pixels for correlation")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx -= dx.mean()
+    dy -= dy.mean()
     denom = np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy))
     if denom == 0:
         raise ValueError("undefined correlation: zero variance over the mask")

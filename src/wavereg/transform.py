@@ -18,13 +18,14 @@ planes of a stack, gathers the corner values with one ``take`` and sums
 the weighted terms with SciPy's own order-1 weights and summation order,
 so its bytes equal ``scipy.ndimage.map_coordinates(order=1,
 mode="constant")`` (the test oracle) in about half the time per pixel. It
-returns only the masked samples, all the registration objective reads;
-``warp`` scatters one candidate's into zeros. Passes of about 4,096 pixels
-and reused temporaries keep a 128x128 or 256x256 call from page-faulting.
+returns only the masked samples, all the registration objective reads, in
+per-thread memory (``_buffer``) that its next call reuses; ``warp`` scatters
+one candidate's into new zeros. Other temporaries are sized by 4,096-pixel passes.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -109,22 +110,22 @@ def scale_params_between_levels(params: AffineParams, factor: float) -> AffinePa
     return replace(params, tx=params.tx * factor, ty=params.ty * factor)
 
 
-# pixels per resampling pass: a pass's temporaries stay small enough to be
-# reused from the heap's free lists instead of page-faulted in every call
+# pixels per resampling pass, and values per binning pass: a pass's temporaries
+# stay small enough to be reused from the heap's free lists, not page-faulted in
 _PASS = 4096
 
 _local = threading.local()
 
 
-def _buffer(size: int) -> np.ndarray:
-    """A float64 buffer of at least ``size`` values, kept per thread, that
-    takes a ``resample`` call's samples and each pass's corner values, its
-    largest temporaries; reusing it keeps a call from allocating, and
-    page-faulting, that much memory."""
-    buf = getattr(_local, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _local.buf = np.empty(size)
-    return buf
+def _buffer(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """Memory kept per ``name`` (one ``dtype`` each) and per thread, viewed as
+    an array of ``shape``: the largest temporaries of ``resample`` and of
+    ``metric._bin_index`` live here, so no call allocates, or page-faults, them."""
+    buf = getattr(_local, name, None)
+    if buf is None or buf.size < math.prod(shape):
+        buf = np.empty(math.prod(shape), dtype)
+        setattr(_local, name, buf)
+    return np.ndarray(shape, dtype, buf)
 
 
 @lru_cache(maxsize=16)
@@ -165,7 +166,7 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     masks = np.empty((m.shape[2], height, width), dtype=bool)
     rows = max(1, _PASS // width)
     group = min(len(masks), rows // height) or 1  # candidates per pass
-    buf = _buffer(k * (masks.size + 4 * group * min(rows, height) * width))
+    buf = _buffer("resample", (k * (masks.size + 4 * group * min(rows, height) * width),))
     samples, gathered = buf[:k * masks.size].reshape(k, -1), buf[k * masks.size:]
     done = 0
     for first in range(0, len(masks), group):

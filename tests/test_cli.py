@@ -310,6 +310,14 @@ def test_compare_bad_header_exit_1(tmp_path, capsys):
     ("p0,pairs/p0/fixed.pgm\n", "manifest line 2: needs id, fixed_path and moving_path"),
     ("p0,pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n"
      "p0,pairs/p0/moving.pgm,pairs/p0/fixed.pgm\n", "manifest line 3: repeated id 'p0'"),
+    # an empty cell used to join to the manifest's directory: "Is a directory"
+    (",,\n", "manifest line 2: empty id, fixed_path, moving_path"),
+    (",pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n", "manifest line 2: empty id"),
+    ("p0,,pairs/p0/moving.pgm\n", "manifest line 2: empty fixed_path"),
+    ("p0,pairs/p0/fixed.pgm,\n", "manifest line 2: empty moving_path"),
+    # report.csv's summary rows carry this id
+    ("SUMMARY,pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n",
+     "manifest line 2: id 'SUMMARY' is reserved for the summary rows"),
 ])
 def test_compare_bad_manifest_row_exit_1(tmp_path, capsys, rows, message):
     manifest = tmp_path / "m.csv"
@@ -328,6 +336,16 @@ def test_compare_repeated_directory_id_exit_1(tmp_path, capsys):
     assert main(["compare", str(root), "-o", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         f"error: repeated id 'pairs': {root} and {root / 'pairs'}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_reserved_directory_id_exit_1(tmp_path, capsys):
+    # a pair directory named like report.csv's summary rows
+    root = tmp_path / "pairs"
+    _synth(root / "SUMMARY", tx=2)
+    assert main(["compare", str(root), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {root / 'SUMMARY'}: id 'SUMMARY' is reserved for the summary rows\n")
     assert not (tmp_path / "o").exists()
 
 

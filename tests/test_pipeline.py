@@ -6,12 +6,17 @@ runs are kept small (64x64, few seeds) and target plumbing correctness.
 
 import hashlib
 import math
+import platform
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavereg
 from wavereg import (
     AffineParams,
     OptimizerConfig,
@@ -446,3 +451,44 @@ def test_one_objective_call_per_evaluated_record(method, monkeypatch):
     evaluated = sum(not math.isnan(rec.value) for t in r.traces for rec in t.records)
     assert len(calls) == evaluated + 2 * len(r.traces)
     assert len(passes) < len(calls) and max(passes) > 1
+
+
+# a fresh interpreter scoring a 64x64 pair's four 32x32 sub-bands, four
+# look-ahead candidates per pass; prints the minor page faults of 200 passes
+_FAULT_CHECK = """
+import resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from wavereg.fixtures import FixtureSpec, generate_pair
+from wavereg.pipeline import _LevelObjective
+from wavereg.transform import AffineParams
+from wavereg.wavelet import dwt2
+fixed, moving, _ = generate_pair(FixtureSpec(
+    size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05), remap="invert", seed=5))
+objective = _LevelObjective(dwt2(fixed), dwt2(moving), 50)
+assert objective.batch == 4
+rng = np.random.default_rng(0)
+def evaluate():
+    rows = AffineParams().as_vector() + rng.normal(scale=0.02, size=(objective.batch, 6))
+    objective(AffineParams.from_vector(rows[0]), ahead=rows[1:])
+for _ in range(20):
+    evaluate()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    evaluate()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's heap trimming is what made these evaluations fault")
+def test_look_ahead_level_does_not_page_fault():
+    """A look-ahead pass reuses its largest temporaries. Allocated afresh,
+    these ~120 KB arrays went back to the kernel after every pass under
+    glibc's default trim threshold and were page-faulted in again: over 100
+    faults a pass in this check."""
+    src = str(Path(wavereg.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src], check=True,
+                         capture_output=True, text=True, timeout=120)
+    faults = int(out.stdout.strip().splitlines()[-1])
+    assert faults < 2 * 200, faults
