@@ -132,8 +132,8 @@ def remap_intensity(image: np.ndarray, mode: str, gamma: float = 2.0) -> np.ndar
     if mode == "invert":
         return (lo + hi) - image
     if mode == "gamma":
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < np.inf:  # also rejects NaN
+            raise ValueError(f"gamma must be > 0 and finite, got {gamma}")
         span = hi - lo
         if span == 0:
             return image.copy()

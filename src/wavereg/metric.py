@@ -154,6 +154,8 @@ def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> f
     dx, dy = a[mask], b[mask]  # new arrays, centered in place
     if dx.size < 2:
         raise ValueError("need at least 2 masked pixels for correlation")
+    if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+        raise ValueError("non-finite intensities in the overlap")
     dx -= dx.mean()
     dy -= dy.mean()
     denom = np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy))

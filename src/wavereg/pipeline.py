@@ -127,7 +127,7 @@ def _reconstruct_from_bands(
     return idwt2(warped, shape), full_mask
 
 
-# masked ranges of each fixed plane whose binned plane is kept
+# (plane, range) tables of binned fixed planes kept per plane of a level
 _MEMO_SIZE = 8
 
 
@@ -138,8 +138,9 @@ class _LevelObjective:
     pass (7 up to 16x16, 3 at 32x32, none from 64x64 on) and answers a later
     call from them when its parameter vector matches one byte for byte. A bin
     depends only on the value and the range, so a fixed plane is binned whole
-    (clipped into the range) once per masked range, for its last
-    ``_MEMO_SIZE`` ranges, and kept as histogram cell offsets."""
+    (clipped into the range) once per masked range and kept as histogram cell
+    offsets in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k``
+    (plane, range) pairs, k the level's planes."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -147,7 +148,11 @@ class _LevelObjective:
         # level the estimation bias of MI rewards shrinking the overlap
         self.bins = min(bins, max(2, math.isqrt(moving[0].size) // 2))
         self.cells = len(fixed) * self.bins * self.bins  # per candidate
-        self.memo = [{} for _ in fixed]  # (lo, hi) -> cell offsets, oldest first
+        # fixed plane clipped into [lo, hi] -> its cell offsets; a closure over
+        # the planes, as a bound method of self would make a reference cycle
+        planes, bins, kind = self.fixed, self.bins, np.min_scalar_type(self.cells - 1)
+        self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: (
+            (_bin_index(np.clip(planes[p], lo, hi), lo, hi, bins) + p * bins) * bins).astype(kind))
         self.batch = max(1, _PASS // moving[0].size)
         self.kept = {}  # parameter vector bytes -> value, of the last pass
 
@@ -164,37 +169,24 @@ class _LevelObjective:
         inside = masks.reshape(len(masks), -1)
         parts = [np.compress(mask, self.fixed, axis=1) for mask in inside]
         counts = [part.shape[1] for part in parts]
-        starts, ends = [0, *itertools.accumulate(counts[:-1])], [*itertools.accumulate(counts)]
+        starts = [0, *itertools.accumulate(counts[:-1])]
         try:
             if min(counts) < MIN_OVERLAP_FRACTION * inside.shape[1]:
                 raise ValueError("lost overlap")
             fixed = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             bounds = [f.reduceat(x, starts, 1) for x in (fixed, samples)
                       for f in (np.minimum, np.maximum)]
-            flo, fhi, mlo, mhi = ranges = [b.tolist() for b in bounds]  # [plane][candidate]
+            ranges = [b.tolist() for b in bounds]  # [plane][candidate]
             flat = [[_degenerate(*pair) for pair in zip(*plane)] for plane in zip(*ranges)]
         except ValueError:  # a lost overlap or a non-finite range: each alone
             return [-math.inf] if len(vectors) == 1 else [self._score(v[None])[0] for v in vectors]
         if any(map(any, flat)):  # a flat pair's cells are never read: any range holding its values
-            bounds[3] = np.where(flat, bounds[3] + abs(bounds[3]) + 1.0, bounds[3])
-            fhi = [[h + abs(h) + 1.0 if f else h for h, f in zip(*row)] for row in zip(fhi, flat)]
+            bounds[1::2] = [np.where(flat, b + abs(b) + 1.0, b) for b in bounds[1::2]]
         cell = _bin_index(samples, *bounds[2:], self.bins, counts)
-        for plane, row in enumerate(cell):
-            memo, a, keys = self.memo[plane], 0, [*zip(flo[plane], fhi[plane])]
-            for b, (key, after) in enumerate(zip(keys, keys[1:] + [None])):
-                if key == after:  # the next candidate's range too: one gather serves both
-                    continue
-                cells = memo.pop(key, None)  # re-inserted below as the newest
-                if cells is None:
-                    if len(memo) == _MEMO_SIZE:
-                        del memo[next(iter(memo))]
-                    index = _bin_index(np.clip(self.fixed[plane], *key), *key, self.bins)
-                    cells = ((index + plane * self.bins) * self.bins).astype(
-                        np.min_scalar_type(self.cells - 1))
-                memo[key] = cells
-                run = np.tile(cells, b + 1 - a) if b > a else cells
-                row[starts[a]:ends[b]] += np.compress(inside[a:b + 1].ravel(), run)
-                a = b + 1
+        keys = zip(ranges[0], bounds[1].tolist())  # [plane]: (lows, highs)
+        cell += np.compress(inside.ravel(), np.array(
+            [[self.binned(plane, *key) for key in zip(*row)] for plane, row in enumerate(keys)]
+        ).reshape(len(cell), -1), axis=1)
         if len(counts) > 1:
             cell += np.repeat(np.arange(0, len(counts) * self.cells, self.cells), counts)
         hist = np.bincount(cell.ravel(), minlength=len(counts) * self.cells)

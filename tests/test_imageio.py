@@ -110,6 +110,13 @@ def test_remap_gamma():
     assert remap_intensity(img, "gamma", gamma=2.0)[0, 1] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
+def test_remap_gamma_rejects_non_finite_or_non_positive(gamma):
+    # NaN gave an all-NaN image and Inf an all-zero one
+    with pytest.raises(ValueError, match=r"gamma must be > 0 and finite"):
+        remap_intensity(np.array([[0.0, 0.5, 1.0]]), "gamma", gamma=gamma)
+
+
 def test_remap_neglog_monotone_decreasing():
     img = np.linspace(0, 255, 32).reshape(1, 32)
     out = remap_intensity(img, "neglog")

@@ -274,6 +274,22 @@ def test_cc_needs_two_pixels():
         correlation_coefficient(a, a, mask)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cc_non_finite_masked_value_raises(bad):
+    """A NaN or infinite masked value fails as in ``mi_between``; it is not
+    clamped into -1.0, "perfect anticorrelation". Masked out, it is ignored."""
+    mask = np.ones((2, 2), bool)
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    b = a.copy()
+    b[1, 1] = bad
+    for x, y in ((a, b), (b, a)):
+        for metric in (correlation_coefficient, mi_between):
+            with pytest.raises(ValueError, match="non-finite intensities in the overlap"):
+                metric(x, y, mask)
+    mask[1, 1] = False
+    assert correlation_coefficient(a, b, mask) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_cc_clipped_to_unit_interval():
     rng = np.random.default_rng(17)
     mask = np.ones((16, 16), bool)

@@ -4,12 +4,14 @@ The heavy statistical recovery claims live in test_acceptance; here the
 runs are kept small (64x64, few seeds) and target plumbing correctness.
 """
 
+import gc
 import hashlib
 import math
 import platform
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -393,14 +395,14 @@ def _objective_levels():
 def test_level_objective_equals_summed_mi_between():
     """The per-level objective gives the bits of ``_summed_mi`` at random
     transforms, including lost overlaps, masked fixed ranges narrower than
-    the plane's and more distinct ranges than a plane's memo keeps. Scored
-    in batches of up to 8, mixing lost overlaps, flat pairs and non-finite
-    ranges, each candidate gets the bits of its lone evaluation."""
+    the plane's and more (plane, range) tables than the level's cache
+    keeps. Scored in batches of up to 8, mixing lost overlaps, flat pairs
+    and non-finite ranges, each candidate gets the bits of its lone
+    evaluation."""
     rng = np.random.default_rng(99)
     narrower = evicted = lost = mixed = 0
     for name, fixed, moving in _objective_levels():
         objective = _LevelObjective(fixed, moving, 50)
-        ranges = set()
         size = moving.shape[-1]
         expected = {}
         for i in range(60):
@@ -418,9 +420,7 @@ def test_level_objective_equals_summed_mi_between():
             mask = warp(moving, p)[1]
             if name.startswith(("phantom", "noise", "crop")) and mask.any():
                 masked = fixed[0][mask]
-                ranges.add((masked.min(), masked.max()))
                 narrower += (masked.min(), masked.max()) != (fixed[0].min(), fixed[0].max())
-        evicted += len(ranges) > _MEMO_SIZE
         candidates = list(expected)
         specials = [p for p in candidates if p.tx in (0.6 * size, -11.0)]
         for _ in range(12):
@@ -430,8 +430,27 @@ def test_level_objective_equals_summed_mi_between():
             values = objective._score(np.array([p.as_vector() for p in batch]))
             assert [v.hex() for v in values] == [expected[p].hex() for p in batch], name
             mixed += -math.inf in values and not all(map(math.isinf, values))
-        assert all(len(memo) <= _MEMO_SIZE for memo in objective.memo)
+        tables = objective.binned.cache_info()
+        assert tables.currsize <= _MEMO_SIZE * len(fixed)
+        evicted += tables.misses > _MEMO_SIZE * len(fixed)
     assert narrower > 0 and evicted > 0 and lost > 0 and mixed > 0
+
+
+def test_level_objective_is_freed_by_reference_counting():
+    """A level objective and its binned fixed planes are in no reference
+    cycle: they are freed with the last reference, not at a later garbage
+    collection."""
+    fixed, moving = _rotated_invert_pair()
+    objective = _LevelObjective(dwt2(fixed), dwt2(moving), 50)
+    objective(AffineParams(tx=1.0))
+    assert objective.binned.cache_info().currsize == 4
+    freed = weakref.ref(objective)
+    gc.disable()
+    try:
+        del objective
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
