@@ -8,6 +8,7 @@ Masks are boolean arrays of the same shape. RGB overlays are
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -16,24 +17,8 @@ class PnmError(Exception):
     """Malformed or unsupported Netpbm file."""
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next whitespace-delimited header token, skipping comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos:pos + 1]
-        if c == b"#":
-            while pos < n and data[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise PnmError("truncated header")
-    return data[start:pos], pos
+# one header token after whitespace and "#" comments; empty at the end of data
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def _parse_header(data: bytes) -> tuple[int, int, int, int]:
@@ -42,7 +27,10 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
-        tok, pos = _next_token(data, pos)
+        match = _TOKEN.match(data, pos)
+        tok, pos = match[1], match.end()
+        if not tok:
+            raise PnmError("truncated header")
         try:
             value = int(tok)
         except ValueError:

@@ -10,21 +10,20 @@ Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
 and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
-with the top edge counted in the last bin; the binning's temporaries live
-in per-thread memory reused from call to call (``transform._buffer``), and
-every array returned is new. One ``np.bincount`` fills the joint histogram.
+with the top edge counted in the last bin. All binning temporaries, per-run
+bounds too, live in per-thread memory reused from call to call (``_buffer``),
+and every array returned is new. One ``np.bincount`` fills the joint histogram.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .imageio import _image_mask
-from .transform import _PASS, _buffer
+from .transform import _buffer
 
 
 @dataclass
@@ -52,8 +51,8 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
     [lo, hi]: the last edge not above it, the top edge in the last bin.
     ``values`` is one row with scalar bounds, or (r, n) rows with (r,) or, in
     runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone.
-    Returns a new array. Its (r, n) temporaries live in reused ``_buffer``s, but
-    per-value bounds of a pass of values or fewer, which the heap recycles."""
+    Returns a new array; its (r, n) temporaries, per-value bounds included,
+    live in reused ``_buffer``s."""
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     rows = np.atleast_2d(values)
     step = (hi - lo) / bins
@@ -65,19 +64,17 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
     lower = edges.ravel()  # and lower[1:] the upper edges
     # bounds r's edges start at r * (bins + 1); no value leaves its own, as
     # index 0 never steps down and the last bin never steps up
-    offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None] if lo.size > 1 else 0
     guess = edge = _buffer("edges", rows.shape)
     down, up = _buffer("flags", (2, *rows.shape), bool)
-    if lo.size > len(rows) and rows.size <= _PASS:  # a pass: the heap recycles the repeats
-        lo, hi, offsets = (x.reshape(len(rows), -1).repeat(counts, 1) for x in (lo, hi, offsets))
-    if lo.size > len(rows) and rows.size > _PASS:  # row p's values in run j: bounds p * s + j
-        ids, bound = _buffer("bound_ids", rows.shape, np.intp), _buffer("bounds", rows.shape)
-        for j, (a, b) in enumerate(itertools.pairwise(itertools.accumulate([0, *counts]))):
-            ids[:, a:b] = np.arange(j, lo.size, len(counts))[:, None]
+    if lo.size > len(rows):  # row p's values in run j: bounds p * s + j
+        ids = np.add(np.arange(0, lo.size, len(counts))[:, None], np.repeat(
+            np.arange(len(counts)), counts), out=_buffer("bound_ids", rows.shape, np.intp))
+        bound = _buffer("bounds", rows.shape)
         np.subtract(rows, lo.take(ids, out=bound, mode="clip"), out=guess)
         guess /= (hi - lo).take(ids, out=bound, mode="clip")
         offsets = np.multiply(ids, bins + 1, out=ids)
     else:
+        offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None] if lo.size > 1 else 0
         np.subtract(rows, lo, out=guess)
         guess /= hi - lo
     guess *= bins
@@ -111,7 +108,11 @@ def joint_histogram(
         raise ValueError("no overlap: empty mask")
     fmin, fmax = float(fvals.min()), float(fvals.max())
     mmin, mmax = float(mvals.min()), float(mvals.max())
-    if _degenerate(fmin, fmax, mmin, mmax):
+    degenerate = _degenerate(fmin, fmax, mmin, mmax)  # raises first on a non-finite bound
+    for name, lo, hi in (("fixed", fmin, fmax), ("moving", mmin, mmax)):
+        if math.isinf(hi - lo):
+            raise ValueError(f"{name} intensity range [{lo:.6g}, {hi:.6g}] overflows float64")
+    if degenerate:
         counts = np.zeros((bins, bins))
         counts[0, 0] = fvals.size
         return JointHistogram(counts=counts, total=float(fvals.size), degenerate=True)
@@ -156,8 +157,9 @@ def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> f
         raise ValueError("need at least 2 masked pixels for correlation")
     if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
         raise ValueError("non-finite intensities in the overlap")
-    dx -= dx.mean()
-    dy -= dy.mean()
+    for d in (dx, dy):  # scaled by a power of two (exact, r unchanged) so no sum overflows
+        np.ldexp(d, -np.frexp(np.abs(d).max())[1], out=d)
+        d -= d.mean()
     denom = np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy))
     if denom == 0:
         raise ValueError("undefined correlation: zero variance over the mask")

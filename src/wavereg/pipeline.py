@@ -86,6 +86,8 @@ def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
         if not np.isfinite(image).all():
             raise ValueError(f"{name} image has non-finite pixels (NaN or Inf)")
         lo, hi = float(image.min()), float(image.max())
+        if math.isinf(hi - lo):
+            raise ValueError(f"{name} image range [{lo:.6g}, {hi:.6g}] overflows float64")
         if _degenerate(lo, hi, lo, hi):
             raise ValueError(f"{name} image is constant; it has no structure to register")
 

@@ -1,5 +1,7 @@
 """PGM/PPM I/O, intensity remapping and overlay tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,29 @@ def test_load_skips_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# a comment\n2 1 # trailing\n255\n\x07\x08")
     assert np.array_equal(load_pgm(path), [[7.0, 8.0]])
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"P5#c\n2 1\n255\n\x07\x08", [[7.0, 8.0]]),
+    (b"P5\t2\r1\x0b255\x0c\x07\x08", [[7.0, 8.0]]),
+    (b"P5\n#a\n#b\n2 1\n255\n\x07\x08", [[7.0, 8.0]]),
+    (b"P5 +2 1 255\n\x07\x08", [[7.0, 8.0]]),
+    (b"P5 2#c 1 255\n\x07\x08", "invalid width field b'2#c'"),
+    (b"P5 2 1 255#x\n\x07\x08", "invalid maxval field b'255#x'"),
+    (b"P5 2 1 # a comment that runs to the end of the file", "truncated header"),
+    (b"P5", "truncated header"),
+], ids=["comment-after-magic", "tab-cr-vt-ff", "consecutive-comments", "plus-sign",
+        "hash-inside-width", "hash-inside-maxval", "comment-to-eof", "bare-magic"])
+def test_load_header_tokens(tmp_path, data, expected):
+    # a token is the bytes up to the next whitespace, "#" included; only a
+    # "#" that starts a token opens a comment, which runs to the end of its line
+    path = tmp_path / "h.pgm"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(PnmError, match=re.escape(expected)):
+            load_pgm(path)
+    else:
+        assert np.array_equal(load_pgm(path), expected)
 
 
 def test_load_truncated_payload(tmp_path):

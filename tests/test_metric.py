@@ -196,7 +196,7 @@ def test_binning_matches_histogram2d(seed, kind):
         # the per-run form: the rows cut into 1 to 8 runs, each with its own
         # (r, s) bounds (a one-value range widened), bins each run as a call
         # on it alone; trial 20's 5 x 32771 values are more than one 4,096-
-        # value pass, the others' fewer
+        # value pass, the others' fewer, and both sizes gather their bounds
         cut_rng = np.random.default_rng([seed, trial, 1])
         cuts = np.sort(cut_rng.choice(np.arange(1, n), min(trial % 8, n - 1), replace=False))
         parts = np.split(rows, cuts, axis=1)
@@ -223,6 +223,18 @@ def test_non_finite_range_raises(bad):
         joint_histogram(other, img, mask)
     mask[1, 2] = False
     assert joint_histogram(img, other, mask).total == 15.0
+
+
+def test_overflowing_range_raises():
+    # max - min of these finite values is inf; binning used to fail inside
+    # np.bincount on negative indices, or give MI 0 on the self-pair
+    huge = np.array([[-1.0, 0.5], [0.9, 0.1]]) * 1.7e308
+    img = np.arange(4.0).reshape(2, 2)
+    mask = np.ones((2, 2), bool)
+    for fixed, moving, which in ((huge, img, "fixed"), (img, huge, "moving"), (huge, huge, "fixed")):
+        for metric in (joint_histogram, mi_between):
+            with pytest.raises(ValueError, match=f"{which} intensity range .* overflows float64"):
+                metric(fixed, moving, mask)
 
 
 def test_metric_config_validation():
@@ -257,6 +269,16 @@ def test_cc_canonical_cases():
     assert correlation_coefficient(a, a, mask) == pytest.approx(1.0, abs=1e-9)
     assert correlation_coefficient(a, -a, mask) == pytest.approx(-1.0, abs=1e-9)
     assert correlation_coefficient(a, 2.0 * a, mask) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e200, 4e307])
+def test_cc_large_magnitude(scale):
+    # the sums of squares and the mean's sum used to overflow, and the
+    # clamp turned their NaN into -1.0 for both pairs
+    mask = np.ones((2, 2), bool)
+    a = np.array([[1.0, 2.0], [3.0, 4.0]]) * scale
+    assert correlation_coefficient(a, a, mask) == pytest.approx(1.0, abs=1e-9)
+    assert correlation_coefficient(a, -a, mask) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_cc_zero_variance_raises():

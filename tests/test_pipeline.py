@@ -240,6 +240,17 @@ def test_near_constant_image_rejected(method, which):
 
 
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("which", ["fixed", "moving"])
+def test_overflowing_range_rejected(method, which):
+    # finite pixels whose max - min is inf used to end in "lost overlap"
+    image = _phantom()
+    huge = np.random.default_rng(0).uniform(-1, 1, image.shape) * 1.7e308
+    pair = (huge, image) if which == "fixed" else (image, huge)
+    with pytest.raises(ValueError, match=f"{which} image range .* overflows float64"):
+        register(*pair, _config(method))
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
 @pytest.mark.parametrize("bins", [1, 0])
 def test_bad_histogram_bins_fails_fast(method, bins):
     # the objective turns a ValueError into -inf, so only a check before
