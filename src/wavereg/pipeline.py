@@ -136,13 +136,18 @@ _MEMO_SIZE = 8
 class _LevelObjective:
     """One level's objective, bit for bit the sum of ``mi_between`` over the
     plane pairs of ``fixed`` and ``warp(moving, p)`` in stack order, or -inf
-    on a lost overlap. A call also scores ``ahead`` rows in its ``resample``
-    pass (7 up to 16x16, 3 at 32x32, none from 64x64 on) and answers a later
-    call from them when its parameter vector matches one byte for byte. A bin
-    depends only on the value and the range, so a fixed plane is binned whole
-    (clipped into the range) once per masked range and kept as histogram cell
-    offsets in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k``
-    (plane, range) pairs, k the level's planes."""
+    on a lost overlap. A call also scores ``ahead`` rows, as many candidates
+    as hold 16,384 values (k * H * W each) together, and answers a later call
+    from them when its parameter vector matches one byte for byte: 7 ahead up
+    to 32x32 or 4x16x16, 3 at 64x64 or 4x32x32, none from 128x128 or 4x64x64
+    on. Larger batches page-fault their temporaries: four 4x128x128
+    candidates a call took ~200,000 minor faults and ~70% more CPU per level,
+    although an accept, which discards the rest of a batch, came only once
+    in 20-80 candidates. A bin depends only on the value and the range, so a
+    fixed plane is binned whole (clipped into the range) once per masked
+    range and kept as histogram cell offsets in one ``lru_cache`` of the
+    level's last ``_MEMO_SIZE * k`` (plane, range) pairs, k the level's
+    planes."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -155,7 +160,7 @@ class _LevelObjective:
         planes, bins, kind = self.fixed, self.bins, np.min_scalar_type(self.cells - 1)
         self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: (
             (_bin_index(np.clip(planes[p], lo, hi), lo, hi, bins) + p * bins) * bins).astype(kind))
-        self.batch = max(1, _PASS // moving[0].size)
+        self.batch = max(1, 4 * _PASS // moving.size)
         self.kept = {}  # parameter vector bytes -> value, of the last pass
 
     def __call__(self, p: AffineParams, ahead=()) -> float:
@@ -212,18 +217,15 @@ def register(
     _check_inputs(fixed, moving)
     haar = config.method != "pyramid"
     levels = 1 if config.method == "wavelet" else config.pyramid_levels
-    if haar:
-        fixed_planes, moving_planes = dwt2(fixed), dwt2(moving)
-    else:
-        fixed_planes, moving_planes = fixed[None], moving[None]
-    objectives = [
-        _LevelObjective(f, m, config.histogram_bins)
-        for f, m in zip(build_pyramid(fixed_planes, levels),
-                        build_pyramid(moving_planes, levels))
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, naming the image
+        pyramids = [build_pyramid(dwt2(x) if haar else x[None], levels) for x in (fixed, moving)]
+    for name, pyramid in zip(("fixed", "moving"), pyramids):
+        if not all(np.isfinite(level).all() for level in pyramid):
+            raise ValueError(f"{name} image values overflow float64 in its pyramid")
+    objectives = [_LevelObjective(f, m, config.histogram_bins) for f, m in zip(*pyramids)]
     params, traces = _coarse_to_fine(objectives, config)
     if haar:
-        registered, mask = _reconstruct_from_bands(moving_planes, params, fixed.shape)
+        registered, mask = _reconstruct_from_bands(pyramids[1][0], params, fixed.shape)
         params = scale_params_between_levels(params, 2.0)
     else:
         registered, mask = warp(moving, params)

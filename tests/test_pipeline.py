@@ -28,6 +28,7 @@ from wavereg import (
 )
 from wavereg.fixtures import FixtureSpec, generate_pair
 from wavereg.metric import joint_histogram, mi_between
+from wavereg.optimizer import WINDOW
 from wavereg.pipeline import (
     _MEMO_SIZE,
     MIN_OVERLAP_FRACTION,
@@ -247,6 +248,18 @@ def test_overflowing_range_rejected(method, which):
     huge = np.random.default_rng(0).uniform(-1, 1, image.shape) * 1.7e308
     pair = (huge, image) if which == "fixed" else (image, huge)
     with pytest.raises(ValueError, match=f"{which} image range .* overflows float64"):
+        register(*pair, _config(method))
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("which", ["fixed", "moving"])
+def test_overflowing_pyramid_rejected(method, which):
+    # a finite range whose pyramid or Haar pair sums overflow used to end in
+    # "lost overlap": every level's objective was -inf at the identity
+    image = _phantom()
+    huge = np.random.default_rng(0).uniform(0.9, 1.7, image.shape) * 1e308
+    pair = (huge, image) if which == "fixed" else (image, huge)
+    with pytest.raises(ValueError, match=f"{which} image values overflow float64 in its pyramid"):
         register(*pair, _config(method))
 
 
@@ -483,8 +496,26 @@ def test_one_objective_call_per_evaluated_record(method, monkeypatch):
     assert len(passes) < len(calls) and max(passes) > 1
 
 
-# a fresh interpreter scoring a 64x64 pair's four 32x32 sub-bands, four
-# look-ahead candidates per pass; prints the minor page faults of 200 passes
+@pytest.mark.parametrize("shape, scored", [
+    ((1, 32, 32), 8), ((1, 64, 64), 4), ((4, 32, 32), 4), ((1, 128, 128), 1), ((4, 64, 64), 1),
+], ids=["32x32", "64x64", "4x32x32", "128x128", "4x64x64"])
+def test_look_ahead_batch_holds_at_most_16384_values(shape, scored, monkeypatch):
+    """Offered the optimizer's whole window, a call scores as many candidates
+    as hold 16,384 values together: several up to 64x64 or 4x32x32, one from
+    128x128 or 4x64x64 on."""
+    passes = []
+    score = _LevelObjective._score
+    monkeypatch.setattr(_LevelObjective, "_score",
+                        lambda self, vectors: passes.append(len(vectors)) or score(self, vectors))
+    fixed, moving = np.random.default_rng(0).uniform(size=(2, *shape))
+    rows = AffineParams().as_vector() + np.random.default_rng(1).normal(scale=0.01, size=(WINDOW, 6))
+    _LevelObjective(fixed, moving, 50)(AffineParams.from_vector(rows[0]), ahead=rows[1:])
+    assert passes == [scored]
+
+
+# a fresh interpreter scoring a 64x64 pair's four 32x32 sub-bands (or the
+# pair itself, argument "plane"), four look-ahead candidates per pass; prints
+# the minor page faults of 200 passes
 _FAULT_CHECK = """
 import resource, sys
 import numpy as np
@@ -495,7 +526,8 @@ from wavereg.transform import AffineParams
 from wavereg.wavelet import dwt2
 fixed, moving, _ = generate_pair(FixtureSpec(
     size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05), remap="invert", seed=5))
-objective = _LevelObjective(dwt2(fixed), dwt2(moving), 50)
+planes = (lambda image: image[None]) if sys.argv[2:] == ["plane"] else dwt2
+objective = _LevelObjective(planes(fixed), planes(moving), 50)
 assert objective.batch == 4
 rng = np.random.default_rng(0)
 def evaluate():
@@ -516,9 +548,11 @@ def test_look_ahead_level_does_not_page_fault():
     """A look-ahead pass reuses its largest temporaries. Allocated afresh,
     these ~120 KB arrays went back to the kernel after every pass under
     glibc's default trim threshold and were page-faulted in again: over 100
-    faults a pass in this check."""
+    faults a pass in this check. A 64x64 plane's pass of four candidates
+    holds 16,384 values, so its float64 temporaries are 128 KiB."""
     src = str(Path(wavereg.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src], check=True,
-                         capture_output=True, text=True, timeout=120)
-    faults = int(out.stdout.strip().splitlines()[-1])
-    assert faults < 2 * 200, faults
+    for planes in ("sub-bands", "plane"):
+        out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src, planes], check=True,
+                             capture_output=True, text=True, timeout=120)
+        faults = int(out.stdout.strip().splitlines()[-1])
+        assert faults < 2 * 200, (planes, faults)
