@@ -15,24 +15,14 @@ import sys
 
 import numpy as np
 
-from . import fixtures
+from .fixtures import PATTERNS, FixtureSpec, write_fixture
 from .imageio import PnmError, load_pgm, overlay_diff, save_json, save_pgm, save_ppm
 from .optimizer import OptimizerConfig, trace_to_csv
-from .pipeline import RegistrationConfig, RegistrationError, register
+from .pipeline import METHODS, RegistrationConfig, RegistrationError, register
 from .transform import AffineParams, image_center, params_to_dict
 
-PATTERN_ALIASES = {
-    "phantom": "phantom_ellipses",
-    "checker": "checker",
-    "noise": "noise_smoothed",
-}
-
-METHOD_ALIASES = {
-    "pyramid": "pyramid",
-    "wavelet": "wavelet",
-    "dwt-pyramid": "dwt_pyramid",
-}
-
+PATTERN_ALIASES = {p.split("_")[0]: p for p in PATTERNS}
+METHOD_ALIASES = {m.replace("_", "-"): m for m in METHODS}
 
 EXIT_CODES = ("exit codes: 0 success, 1 runtime failure, 2 usage error, "
               "3 compare wrote report.csv but some registrations failed "
@@ -59,23 +49,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic fixture pair")
-    p.add_argument("--pattern", choices=sorted(PATTERN_ALIASES), default="phantom")
+    p.set_defaults(run=_cmd_synth)
+    p.add_argument("--pattern", choices=sorted(PATTERN_ALIASES),
+                   default=FixtureSpec.base_pattern.split("_")[0])
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--tx", type=float, default=0.0)
-    p.add_argument("--ty", type=float, default=0.0)
-    p.add_argument("--theta-deg", type=float, default=0.0)
-    p.add_argument("--sx", type=float, default=1.0)
-    p.add_argument("--sy", type=float, default=1.0)
-    p.add_argument("--shear", type=float, default=0.0)
+    p.add_argument("--tx", type=float, default=AffineParams.tx)
+    p.add_argument("--ty", type=float, default=AffineParams.ty)
+    p.add_argument("--theta-deg", type=float, default=math.degrees(AffineParams.theta))
+    p.add_argument("--sx", type=float, default=AffineParams.sx)
+    p.add_argument("--sy", type=float, default=AffineParams.sy)
+    p.add_argument("--shear", type=float, default=AffineParams.k)
     p.add_argument("--remap", choices=["none", "invert", "gamma", "neglog"],
-                   default="none")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+                   default=FixtureSpec.remap)
+    p.add_argument("--gamma", type=float, default=FixtureSpec.gamma)
+    p.add_argument("--noise-sigma", type=float, default=FixtureSpec.noise_sigma)
+    p.add_argument("--seed", type=int, default=FixtureSpec.seed)
     p.add_argument("-o", "--out", required=True, help="output directory")
 
     reg = sub.add_parser("register", help="register a moving image onto a fixed one",
                          description=MAX_MI_NOTE)
+    reg.set_defaults(run=_cmd_register)
     reg.add_argument("--method", choices=sorted(METHOD_ALIASES), required=True)
     reg.add_argument("fixed")
     reg.add_argument("moving")
@@ -89,17 +82,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "pairs still report. " + MAX_MI_NOTE,
         epilog=EXIT_CODES,
     )
+    comp.set_defaults(run=_cmd_compare)
     comp.add_argument("manifest",
                       help="CSV manifest (id,fixed_path,moving_path) or a "
                            "directory of fixture subdirectories")
     for p in (reg, comp):  # the run options, after each command's own arguments
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--levels", type=int, default=3)
-        p.add_argument("--bins", type=int, default=50)
-        p.add_argument("--max-iterations", type=int, default=500)
+        p.add_argument("--seed", type=int, default=OptimizerConfig.seed)
+        p.add_argument("--levels", type=int, default=RegistrationConfig.pyramid_levels)
+        p.add_argument("--bins", type=int, default=RegistrationConfig.histogram_bins)
+        p.add_argument("--max-iterations", type=int, default=OptimizerConfig.max_iterations)
         p.add_argument("-o", "--out", required=True, help="output directory")
 
     p = sub.add_parser("diff", help="grey/fuchsia overlay of two images")
+    p.set_defaults(run=_cmd_diff)
     p.add_argument("fixed")
     p.add_argument("registered")
     p.add_argument("mask")
@@ -122,7 +117,7 @@ def _make_config(args, method: str) -> RegistrationConfig:
 
 
 def _cmd_synth(args) -> int:
-    spec = fixtures.FixtureSpec(
+    spec = FixtureSpec(
         base_pattern=PATTERN_ALIASES[args.pattern],
         size=args.size,
         truth=AffineParams(tx=args.tx, ty=args.ty, theta=math.radians(args.theta_deg),
@@ -132,14 +127,13 @@ def _cmd_synth(args) -> int:
         noise_sigma=args.noise_sigma,
         seed=args.seed,
     )
-    fixtures.write_fixture(spec, args.out)
+    write_fixture(spec, args.out)
     return 0
 
 
 def _write_result(result, fixed, out_dir) -> None:
     save_pgm(result.registered, os.path.join(out_dir, "registered.pgm"))
-    save_pgm(result.mask.astype(np.float64) * 255.0,
-             os.path.join(out_dir, "mask.pgm"))
+    save_pgm(result.mask * 255.0, os.path.join(out_dir, "mask.pgm"))
     save_json(params_to_dict(result.params, image_center(fixed)),
               os.path.join(out_dir, "params.json"))
     metrics = {
@@ -165,26 +159,20 @@ def _cmd_register(args) -> int:
     return 0
 
 
-def _read_manifest(path) -> list[tuple[str, str, str]]:
+def _manifest_rows(path):
+    """(where, id, fixed path, moving path) of each pair a directory or CSV manifest lists."""
     if os.path.isdir(path):
-        pairs = []
         candidates = [path] + sorted(
             os.path.join(path, d) for d in os.listdir(path)
             if os.path.isdir(os.path.join(path, d))
         )
-        for d in candidates:
+        for d in candidates:  # only the root can repeat a subdirectory's name
             fixed = os.path.join(d, "fixed.pgm")
             moving = os.path.join(d, "moving.pgm")
             if os.path.isfile(fixed) and os.path.isfile(moving):
-                pid = os.path.basename(d.rstrip(os.sep))
-                if pid == SUMMARY_ID:
-                    raise ValueError(f"{d}: id {pid!r} is reserved for the summary rows")
-                if any(pid == seen for seen, _, _ in pairs):  # only the root can repeat a name
-                    raise ValueError(f"repeated id {pid!r}: {path} and {d}")
-                pairs.append((pid, fixed, moving))
-        return pairs
+                yield d, os.path.basename(d.rstrip(os.sep)), fixed, moving
+        return
     base = os.path.dirname(os.path.abspath(path))
-    pairs = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(MANIFEST_FIELDS).issubset(reader.fieldnames):
@@ -197,12 +185,19 @@ def _read_manifest(path) -> list[tuple[str, str, str]]:
             empty = [name for name in MANIFEST_FIELDS if not row[name]]
             if empty:
                 raise ValueError(f"{where}: empty {', '.join(empty)}")
-            if pid == SUMMARY_ID:
-                raise ValueError(f"{where}: id {pid!r} is reserved for the summary rows")
-            if any(pid == seen for seen, _, _ in pairs):
-                raise ValueError(f"{where}: repeated id {pid!r}")
             # an absolute path joins to itself
-            pairs.append((pid, os.path.join(base, fixed), os.path.join(base, moving)))
+            yield where, pid, os.path.join(base, fixed), os.path.join(base, moving)
+
+
+def _read_manifest(path) -> list[tuple[str, str, str]]:
+    pairs, first = [], {}
+    for where, pid, fixed, moving in _manifest_rows(path):
+        if pid == SUMMARY_ID:
+            raise ValueError(f"{where}: id {pid!r} is reserved for the summary rows")
+        if pid in first:
+            raise ValueError(f"{where}: repeated id {pid!r}, first at {first[pid]}")
+        first[pid] = where
+        pairs.append((pid, fixed, moving))
     return pairs
 
 
@@ -236,7 +231,6 @@ def compare_pairs(pairs, configs):
     empty; winners are picked among the methods that succeeded on the pair.
     """
     rows = []
-    wins = {m: {"mi": 0, "cc": 0} for m in configs}
     for pair_id, fixed_path, moving_path in sorted(pairs):
         outcomes = _register_pair(fixed_path, moving_path, configs)
         results = {m: r for m, r in outcomes.items() if not isinstance(r, str)}
@@ -246,8 +240,6 @@ def compare_pairs(pairs, configs):
             if isinstance(outcome, str):
                 row = {"mi_winner": 0, "cc_winner": 0, "status": outcome}
             else:
-                wins[method]["mi"] += mi_flags[method]
-                wins[method]["cc"] += cc_flags[method]
                 row = {"max_mi_bits": repr(outcome.max_mi_bits),
                        "final_mi_bits": repr(outcome.final_mi_bits),
                        "cc": repr(outcome.cc),
@@ -255,9 +247,10 @@ def compare_pairs(pairs, configs):
                        "cc_winner": cc_flags[method],
                        "status": "ok"}
             rows.append({"id": pair_id, "method": method, **row})
-    for method in configs:
-        rows.append({"id": SUMMARY_ID, "method": method, "mi_winner": wins[method]["mi"],
-                     "cc_winner": wins[method]["cc"], "status": ""})
+    for method in configs:  # error rows flag no winner
+        own = [row for row in rows if row["method"] == method]
+        tallies = {flag: sum(row[flag] for row in own) for flag in ("mi_winner", "cc_winner")}
+        rows.append({"id": SUMMARY_ID, "method": method, **tallies, "status": ""})
     return rows
 
 
@@ -266,7 +259,7 @@ def _cmd_compare(args) -> int:
     if not pairs:
         print("error: empty manifest", file=sys.stderr)
         return 2
-    configs = {m: _make_config(args, m) for m in METHOD_ALIASES.values()}
+    configs = {m: _make_config(args, m) for m in METHODS}
     os.makedirs(args.out, exist_ok=True)
     rows = compare_pairs(pairs, configs)
     report_path = os.path.join(args.out, "report.csv")
@@ -276,7 +269,7 @@ def _cmd_compare(args) -> int:
         writer.writerows(rows)
     failed = sum(r["status"].startswith("error") for r in rows)
     if failed:
-        print(f"error: {failed} of {len(rows) - len(METHOD_ALIASES)} "
+        print(f"error: {failed} of {len(rows) - len(METHODS)} "
               f"registrations failed; see {report_path}", file=sys.stderr)
         return 3
     return 0
@@ -291,19 +284,11 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "register": _cmd_register,
-    "compare": _cmd_compare,
-    "diff": _cmd_diff,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (PnmError, RegistrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -93,6 +93,14 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
         index += up
 
 
+MAX_HISTOGRAM_BINS = 1024  # a joint histogram holds bins * bins counts: 8 MiB here
+
+
+def _check_bins(bins) -> None:
+    if not 2 <= bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"histogram_bins must be >= 2 and <= {MAX_HISTOGRAM_BINS}, got {bins}")
+
+
 def joint_histogram(
     fixed: np.ndarray,
     moving: np.ndarray,
@@ -100,8 +108,7 @@ def joint_histogram(
     bins: int = 50,
 ) -> JointHistogram:
     """Accumulate the joint intensity histogram over the masked overlap."""
-    if bins < 2:
-        raise ValueError(f"histogram_bins must be >= 2, got {bins}")
+    _check_bins(bins)
     fixed, moving, mask = _image_mask(fixed, moving, mask)
     fvals, mvals = fixed[mask], moving[mask]
     if fvals.size == 0:

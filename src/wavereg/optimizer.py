@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -32,12 +33,19 @@ PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
 WINDOW = 8  # candidates planned ahead, for an objective that scores several per call
 
 
+def _check_integers(config, *names: str) -> None:
+    for name in names:
+        if not isinstance(value := getattr(config, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value}")
+
+
 @dataclass
 class OptimizerConfig:
     max_iterations: int = 500
     seed: int = 0
 
     def validate(self) -> None:
+        _check_integers(self, "max_iterations", "seed")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.seed < 0:

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .metric import _bin_index, _degenerate, _mi_bits, correlation_coefficient, mi_between
-from .optimizer import OptimizerConfig, OptimizerTrace, optimize
+from .metric import (_bin_index, _check_bins, _degenerate, _mi_bits, correlation_coefficient,
+                     mi_between)
+from .optimizer import OptimizerConfig, OptimizerTrace, _check_integers, optimize
 from .pyramid import build_pyramid
 from .transform import _PASS, AffineParams, resample, scale_params_between_levels, warp
 from .wavelet import dwt2, idwt2
@@ -37,7 +38,6 @@ from .wavelet import dwt2, idwt2
 METHODS = ("pyramid", "wavelet", "dwt_pyramid")
 
 MIN_IMAGE_SIZE = 32
-MAX_HISTOGRAM_BINS = 1024  # a joint histogram holds bins * bins counts: 8 MiB here
 
 class RegistrationError(Exception):
     """Raised when a registration run cannot proceed."""
@@ -53,11 +53,10 @@ class RegistrationConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        _check_integers(self, "pyramid_levels", "histogram_bins")
         if self.pyramid_levels < 1:
             raise ValueError("pyramid_levels must be >= 1")
-        if not 2 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
-            raise ValueError(f"histogram_bins must be >= 2 and <= {MAX_HISTOGRAM_BINS}, "
-                             f"got {self.histogram_bins}")
+        _check_bins(self.histogram_bins)
         self.optimizer.validate()
 
 

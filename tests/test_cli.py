@@ -14,8 +14,10 @@ import pytest
 
 import wavereg
 from wavereg import load_pgm
-from wavereg.cli import METHOD_ALIASES, _build_parser, _make_config, main
+from wavereg.cli import METHOD_ALIASES, PATTERN_ALIASES, _build_parser, _make_config, main
+from wavereg.fixtures import PATTERNS, FixtureSpec
 from wavereg.imageio import save_pgm
+from wavereg.pipeline import METHODS
 
 
 def _synth(out, **kw):
@@ -78,6 +80,21 @@ def test_synth_non_finite_setting_writes_nothing(tmp_path, capsys, option, field
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not (out / "moving.pgm").exists()
     assert not (out / "truth.json").exists()
+
+
+def test_aliases_name_the_library_patterns_and_methods():
+    # the values are the library's names; the keys are what users type
+    assert tuple(PATTERN_ALIASES.values()) == PATTERNS
+    assert tuple(METHOD_ALIASES.values()) == METHODS
+    assert list(PATTERN_ALIASES) == ["phantom", "checker", "noise"]
+    assert list(METHOD_ALIASES) == ["pyramid", "wavelet", "dwt-pyramid"]
+
+
+def test_synth_defaults_are_the_fixture_spec_defaults(tmp_path, monkeypatch):
+    specs = []
+    monkeypatch.setattr("wavereg.cli.write_fixture", lambda spec, out: specs.append(spec))
+    assert main(["synth", "--size", "96", "-o", str(tmp_path / "fx")]) == 0
+    assert [dict(_leaves(spec)) for spec in specs] == [dict(_leaves(FixtureSpec(size=96)))]
 
 
 def test_synth_default_truth_is_strict_json(tmp_path):
@@ -240,6 +257,13 @@ def test_every_config_field_is_set_by_a_register_flag():
     config = _make_config(args, METHOD_ALIASES[args.method])
     default = dict(_leaves(wavereg.RegistrationConfig()))
     assert [name for name, value in _leaves(config) if value == default[name]] == []
+    # and with no run flag, register and compare run each method's own defaults
+    for argv in (["register", "--method", "pyramid", "fixed.pgm", "moving.pgm", "-o", "out"],
+                 ["compare", "pairs", "-o", "out"]):
+        args = _build_parser().parse_args(argv)
+        for method in METHODS:
+            assert (dict(_leaves(_make_config(args, method)))
+                    == dict(_leaves(wavereg.RegistrationConfig(method=method))))
 
 
 def _make_pairs(tmp_path, n):
@@ -309,7 +333,8 @@ def test_compare_bad_header_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("rows, message", [
     ("p0,pairs/p0/fixed.pgm\n", "manifest line 2: needs id, fixed_path and moving_path"),
     ("p0,pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n"
-     "p0,pairs/p0/moving.pgm,pairs/p0/fixed.pgm\n", "manifest line 3: repeated id 'p0'"),
+     "p0,pairs/p0/moving.pgm,pairs/p0/fixed.pgm\n",
+     "manifest line 3: repeated id 'p0', first at manifest line 2"),
     # an empty cell used to join to the manifest's directory: "Is a directory"
     (",,\n", "manifest line 2: empty id, fixed_path, moving_path"),
     (",pairs/p0/fixed.pgm,pairs/p0/moving.pgm\n", "manifest line 2: empty id"),
@@ -335,7 +360,7 @@ def test_compare_repeated_directory_id_exit_1(tmp_path, capsys):
     _synth(root / "pairs", tx=2)
     assert main(["compare", str(root), "-o", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
-        f"error: repeated id 'pairs': {root} and {root / 'pairs'}\n")
+        f"error: {root / 'pairs'}: repeated id 'pairs', first at {root}\n")
     assert not (tmp_path / "o").exists()
 
 

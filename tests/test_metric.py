@@ -245,6 +245,11 @@ def test_metric_config_validation():
             joint_histogram(img, img, mask, bins=bins)
         with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
             mi_between(img, img, mask, bins=bins)
+    # the config's bound, which a direct call used to pass: np.bincount was
+    # asked for bins * bins counts
+    with pytest.raises(ValueError, match="histogram_bins must be >= 2 and <= 1024, got 1025"):
+        mi_between(img, img, mask, bins=1025)
+    mi_between(img, img, mask, bins=1024)
 
 
 @pytest.mark.parametrize("value", [0.5, 117.0, 1e-3, -3.25, 1e6])

@@ -309,6 +309,27 @@ def test_unworkable_optimizer_settings_fail_fast(field, value, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("field, value", [
+    ("histogram_bins", 20.5), ("pyramid_levels", 2.0), ("max_iterations", 3.5), ("seed", 1.5),
+])
+def test_non_integer_settings_fail_fast(field, value, monkeypatch):
+    # 20.5 bins used to die in _bin_index with a UFuncTypeError after the
+    # pyramids were built; 2.0 levels and 3.5 iterations gave "'float' object
+    # cannot be interpreted as an integer"; seed 1.5 gave a SeedSequence error
+    # quoting 3.5, the seed plus the level
+    calls = []
+    monkeypatch.setattr("wavereg.pipeline.build_pyramid", lambda *a: calls.append(a))
+    cfg = _config("dwt_pyramid")
+    owner = cfg.optimizer if hasattr(cfg.optimizer, field) else cfg
+    setattr(owner, field, value)
+    fixed = _phantom()
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+        register(fixed, fixed, cfg)
+    assert calls == []
+    setattr(owner, field, np.int64(value))  # a NumPy integer is an integer
+    cfg.validate()
+
+
 def _rotated_invert_pair():
     fixed, moving, _ = generate_pair(
         FixtureSpec(size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05),
