@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .fixtures import PATTERNS, FixtureSpec, write_fixture
-from .imageio import PnmError, load_pgm, overlay_diff, save_json, save_pgm, save_ppm
+from .imageio import REMAP_MODES, PnmError, load_pgm, overlay_diff, save_json, save_pgm, save_ppm
 from .optimizer import OptimizerConfig, trace_to_csv
 from .pipeline import METHODS, RegistrationConfig, RegistrationError, register
 from .transform import AffineParams, image_center, params_to_dict
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sx", type=float, default=AffineParams.sx)
     p.add_argument("--sy", type=float, default=AffineParams.sy)
     p.add_argument("--shear", type=float, default=AffineParams.k)
-    p.add_argument("--remap", choices=["none", "invert", "gamma", "neglog"],
+    p.add_argument("--remap", choices=["none", *REMAP_MODES],
                    default=FixtureSpec.remap)
     p.add_argument("--gamma", type=float, default=FixtureSpec.gamma)
     p.add_argument("--noise-sigma", type=float, default=FixtureSpec.noise_sigma)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imageio import remap_intensity, save_json, save_pgm
+from .optimizer import _check_integers
 from .pyramid import _correlate_reflect
 from .transform import AffineParams, invert_params, params_to_dict, warp
 
@@ -48,7 +49,7 @@ class FixtureSpec:
     base_pattern: str = "phantom_ellipses"
     size: int = 128
     truth: AffineParams = field(default_factory=AffineParams)
-    remap: str = "none"  # none | invert | gamma | neglog
+    remap: str = "none"  # "none" or one of imageio.REMAP_MODES
     gamma: float = 2.0
     noise_sigma: float = 0.0  # fraction of the intensity range
     seed: int = 0
@@ -56,6 +57,7 @@ class FixtureSpec:
     def validate(self) -> None:
         if self.base_pattern not in PATTERNS:
             raise ValueError(f"unknown base pattern {self.base_pattern!r}")
+        _check_integers(size=self.size, seed=self.seed)
         if self.size < 64:
             raise ValueError(f"size must be >= 64, got {self.size}")
         if not 0 <= self.noise_sigma < math.inf:  # also rejects NaN

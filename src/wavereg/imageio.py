@@ -106,6 +106,9 @@ def _image_mask(a, b, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, mask
 
 
+REMAP_MODES = ("invert", "gamma", "neglog")  # the modes of remap_intensity
+
+
 def remap_intensity(image: np.ndarray, mode: str, gamma: float = 2.0) -> np.ndarray:
     """Synthesize a second 'modality' by remapping intensities pixelwise.
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imageio import _image_mask
+from .optimizer import _check_integers
 from .transform import _buffer
 
 
@@ -97,6 +98,7 @@ MAX_HISTOGRAM_BINS = 1024  # a joint histogram holds bins * bins counts: 8 MiB h
 
 
 def _check_bins(bins) -> None:
+    _check_integers(histogram_bins=bins)
     if not 2 <= bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(f"histogram_bins must be >= 2 and <= {MAX_HISTOGRAM_BINS}, got {bins}")
 

@@ -33,9 +33,9 @@ PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
 WINDOW = 8  # candidates planned ahead, for an objective that scores several per call
 
 
-def _check_integers(config, *names: str) -> None:
-    for name in names:
-        if not isinstance(value := getattr(config, name), numbers.Integral):
+def _check_integers(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value}")
 
 
@@ -45,7 +45,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_integers(self, "max_iterations", "seed")
+        _check_integers(max_iterations=self.max_iterations, seed=self.seed)
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.seed < 0:

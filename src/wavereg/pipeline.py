@@ -53,7 +53,7 @@ class RegistrationConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        _check_integers(self, "pyramid_levels", "histogram_bins")
+        _check_integers(pyramid_levels=self.pyramid_levels)
         if self.pyramid_levels < 1:
             raise ValueError("pyramid_levels must be >= 1")
         _check_bins(self.histogram_bins)
@@ -115,17 +115,6 @@ def _coarse_to_fine(objectives, config: RegistrationConfig):
         if level > 0:
             params = scale_params_between_levels(params, 2.0)
     return params, traces
-
-
-def _reconstruct_from_bands(
-    moving_bands: np.ndarray, params: AffineParams, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Warp the (4, H', W') moving sub-band stack with one sub-band-space
-    transform and inverse transform into the registered image of ``shape``;
-    the mask is the sub-band mask upsampled 2x (nearest neighbor) and cropped."""
-    warped, mask = warp(moving_bands, params)
-    full_mask = np.kron(mask, np.ones((2, 2), dtype=bool))[:shape[0], :shape[1]]
-    return idwt2(warped, shape), full_mask
 
 
 # (plane, range) tables of binned fixed planes kept per plane of a level
@@ -208,9 +197,10 @@ def register(
 ) -> RegistrationResult:
     """Register ``moving`` onto ``fixed`` with ``config.method``.
 
-    Every method starts its coarsest level from the identity. The returned
-    params are in full-resolution coordinates: the sub-band methods double
-    their half-resolution result.
+    Every method starts its coarsest level from the identity and warps the
+    finest moving level once: the image, or the sub-bands that the sub-band
+    methods inverse transform. The returned params are in full-resolution
+    coordinates: the sub-band methods double their half-resolution result.
     """
     config.validate()
     _check_inputs(fixed, moving)
@@ -223,11 +213,11 @@ def register(
             raise ValueError(f"{name} image values overflow float64 in its pyramid")
     objectives = [_LevelObjective(f, m, config.histogram_bins) for f, m in zip(*pyramids)]
     params, traces = _coarse_to_fine(objectives, config)
-    if haar:
-        registered, mask = _reconstruct_from_bands(pyramids[1][0], params, fixed.shape)
+    warped, mask = warp(pyramids[1][0], params)  # the finest moving level, for every method
+    registered = idwt2(warped, fixed.shape) if haar else warped[0]
+    if haar:  # the sub-band mask upsampled 2x (nearest neighbor) and cropped
+        mask = np.kron(mask, np.ones((2, 2), dtype=bool))[:fixed.shape[0], :fixed.shape[1]]
         params = scale_params_between_levels(params, 2.0)
-    else:
-        registered, mask = warp(moving, params)
     final_mi = mi_between(fixed, registered, mask, config.histogram_bins)
     cc = correlation_coefficient(registered, fixed, mask)
     return RegistrationResult(

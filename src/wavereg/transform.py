@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,8 +109,8 @@ def scale_params_between_levels(params: AffineParams, factor: float) -> AffinePa
     return replace(params, tx=params.tx * factor, ty=params.ty * factor)
 
 
-# pixels per resampling pass, and values per binning pass: a pass's temporaries
-# stay small enough to be reused from the heap's free lists, not page-faulted in
+# pixels per ``resample`` pass (its temporaries stay small enough to be reused from
+# the heap's free lists, not page-faulted in); ``pipeline`` caps look-ahead at 4 * _PASS values
 _PASS = 4096
 
 _local = threading.local()
@@ -126,18 +125,6 @@ def _buffer(name: str, shape, dtype=np.float64) -> np.ndarray:
         buf = np.empty(math.prod(shape), dtype)
         setattr(_local, name, buf)
     return np.ndarray(shape, dtype, buf)
-
-
-@lru_cache(maxsize=16)
-def _grid(height: int, width: int):
-    """Constants of ``warp`` for one grid shape: the pixel columns and rows,
-    the mask's upper bounds and the flat offsets of the four corners."""
-    constants = (np.arange(width), np.arange(height)[:, None],
-                 np.array([height - 1.0, width - 1.0])[:, None, None],
-                 np.array([[[0], [1]], [[width], [width + 1]]]))
-    for array in constants:  # shared by every call on this shape
-        array.flags.writeable = False
-    return constants
 
 
 def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +147,9 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
     m = _center_adjusted(vectors, image_center(moving))[:, ::-1].T[..., None, None]  # [x/y/1, y/x]
-    xs, ys, upper, corners = _grid(height, width)
+    xs, ys = np.arange(width), np.arange(height)[:, None]  # the pixel columns and rows
+    upper = np.array([height - 1.0, width - 1.0])[:, None, None]  # the mask's upper bounds
+    corners = np.array([[[0], [1]], [[width], [width + 1]]])  # flat offsets of the four corners
     planes = moving.reshape(-1, height * width)
     k = len(planes)
     masks = np.empty((m.shape[2], height, width), dtype=bool)

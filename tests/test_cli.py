@@ -16,7 +16,7 @@ import wavereg
 from wavereg import load_pgm
 from wavereg.cli import METHOD_ALIASES, PATTERN_ALIASES, _build_parser, _make_config, main
 from wavereg.fixtures import PATTERNS, FixtureSpec
-from wavereg.imageio import save_pgm
+from wavereg.imageio import REMAP_MODES, save_pgm
 from wavereg.pipeline import METHODS
 
 
@@ -88,6 +88,11 @@ def test_aliases_name_the_library_patterns_and_methods():
     assert tuple(METHOD_ALIASES.values()) == METHODS
     assert list(PATTERN_ALIASES) == ["phantom", "checker", "noise"]
     assert list(METHOD_ALIASES) == ["pyramid", "wavelet", "dwt-pyramid"]
+    # --remap offers "none" and then the library's modes, in their order
+    synth = _build_parser()._subparsers._group_actions[0].choices["synth"]
+    (remap,) = [action for action in synth._actions if action.dest == "remap"]
+    assert remap.choices == ["none", *REMAP_MODES]
+    assert REMAP_MODES == ("invert", "gamma", "neglog")
 
 
 def test_synth_defaults_are_the_fixture_spec_defaults(tmp_path, monkeypatch):

@@ -105,6 +105,19 @@ def test_spec_validation():
         FixtureSpec(noise_sigma=-0.1).validate()
 
 
+@pytest.mark.parametrize("field, value", [("size", 64.0), ("size", 64.5), ("seed", 1.5)])
+def test_spec_counts_must_be_integers(field, value):
+    # a float size used to fail inside NumPy with "'float' object cannot be
+    # interpreted as an integer", a float seed with a SeedSequence error
+    spec = FixtureSpec(base_pattern="noise_smoothed", size=64, seed=1)
+    setattr(spec, field, value)
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+        generate_pair(spec)
+    setattr(spec, field, np.int64(value))  # a NumPy integer is an integer
+    fixed, moving, _ = generate_pair(spec)
+    assert fixed.shape == moving.shape == (spec.size, spec.size)
+
+
 def test_sidecar_recovery_inverts_truth():
     truth = AffineParams(tx=6, ty=-3, theta=math.radians(4))
     side = sidecar_dict(FixtureSpec(size=128, truth=truth))

@@ -250,6 +250,10 @@ def test_metric_config_validation():
     with pytest.raises(ValueError, match="histogram_bins must be >= 2 and <= 1024, got 1025"):
         mi_between(img, img, mask, bins=1025)
     mi_between(img, img, mask, bins=1024)
+    # a non-integer count used to die in _bin_index with a UFuncTypeError
+    for call in (joint_histogram, mi_between):
+        with pytest.raises(ValueError, match=r"^histogram_bins must be an integer, got 20\.5$"):
+            call(img, img, mask, bins=20.5)
 
 
 @pytest.mark.parametrize("value", [0.5, 117.0, 1e-3, -3.25, 1e6])

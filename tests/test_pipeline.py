@@ -28,13 +28,12 @@ from wavereg import (
 )
 from wavereg.fixtures import FixtureSpec, generate_pair
 from wavereg.metric import joint_histogram, mi_between
-from wavereg.optimizer import WINDOW
+from wavereg.optimizer import WINDOW, OptimizerTrace
 from wavereg.pipeline import (
     _MEMO_SIZE,
     MIN_OVERLAP_FRACTION,
     _coarse_to_fine,
     _LevelObjective,
-    _reconstruct_from_bands,
 )
 from wavereg.pyramid import build_pyramid
 from wavereg.transform import invert_params, scale_params_between_levels, warp
@@ -104,15 +103,18 @@ def test_wavelet_translation_scaling():
     assert hits >= 4
 
 
-def test_wavelet_reconstruction_error_bounded():
+def test_wavelet_reconstruction_error_bounded(monkeypatch):
     # the ground truth, halved into sub-band space: warp-then-IDWT must
     # track the direct spatial warp within 2% mean abs error on the interior
     _, moving, truth = generate_pair(
         FixtureSpec(size=128, truth=AffineParams(tx=5, ty=-3, theta=0.05), seed=3)
     )
     recovery = invert_params(truth)
-    registered, mask = _reconstruct_from_bands(
-        dwt2(moving), scale_params_between_levels(recovery, 0.5), moving.shape)
+    monkeypatch.setattr("wavereg.pipeline._coarse_to_fine", lambda objectives, config: (
+        scale_params_between_levels(recovery, 0.5), [OptimizerTrace()]))
+    r = register(moving, moving, _config("wavelet"))
+    assert r.params == recovery
+    registered, mask = r.registered, r.mask
     spatial, smask = warp(moving, recovery)
     inner = mask & smask
     inner[:4] = inner[-4:] = False
@@ -196,9 +198,12 @@ def test_config_validation():
 def test_reconstruct_from_bands_identity():
     rng = np.random.default_rng(8)
     img = rng.uniform(0, 255, (64, 64))
-    registered, mask = _reconstruct_from_bands(dwt2(img), AffineParams(), img.shape)
-    assert mask.all()
-    assert np.abs(registered - img).max() < 1e-9
+    cfg = _config("wavelet")
+    cfg.optimizer = OptimizerConfig(max_iterations=0)
+    r = register(img, img, cfg)
+    assert r.params == AffineParams()
+    assert r.mask.all()
+    assert np.abs(r.registered - img).max() < 1e-9
 
 
 def test_evaluate_identical_pair():
