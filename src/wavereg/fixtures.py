@@ -149,7 +149,8 @@ def sidecar_dict(spec: FixtureSpec) -> dict:
         "truth": params_to_dict(spec.truth, center),
         "recovery": params_to_dict(invert_params(spec.truth), center),
         "spec": {name: getattr(spec, name) for name in
-                 ("base_pattern", "size", "remap", "gamma", "noise_sigma", "seed")},
+                 ("base_pattern", "size", "remap", "gamma", "noise_sigma", "seed")}
+        | {"size": int(spec.size), "seed": int(spec.seed)},  # NumPy integers are not JSON
     }
 
 
@@ -158,7 +159,8 @@ def write_fixture(spec: FixtureSpec, out_dir) -> None:
     import os
 
     fixed, moving, _ = generate_pair(spec)
+    sidecar = sidecar_dict(spec)  # before any file, so a failure leaves none behind
     os.makedirs(out_dir, exist_ok=True)
     save_pgm(fixed, os.path.join(out_dir, "fixed.pgm"))
     save_pgm(moving, os.path.join(out_dir, "moving.pgm"))
-    save_json(sidecar_dict(spec), os.path.join(out_dir, "truth.json"))
+    save_json(sidecar, os.path.join(out_dir, "truth.json"))

@@ -75,20 +75,22 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
         guess /= (hi - lo).take(ids, out=bound, mode="clip")
         offsets = np.multiply(ids, bins + 1, out=ids)
     else:
-        offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None] if lo.size > 1 else 0
+        offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None]
         np.subtract(rows, lo, out=guess)
         guess /= hi - lo
     guess *= bins
     index = guess.astype(np.intp)
     np.minimum(index, bins - 1, out=index)
-    index += offsets
+    if lo.size > 1:  # one row of bounds has offset 0: no pass adds it
+        index += offsets
     # the arithmetic index can miss an edge by an ULP, and by more where edges
     # repeat; "clip" takes write straight into out= (every index is in range)
     while True:
         np.less(rows, lower.take(index, out=edge, mode="clip"), out=down)
         np.greater_equal(rows, lower[1:].take(index, out=edge, mode="clip"), out=up)
         if not (down.any() or up.any()):
-            index -= offsets
+            if lo.size > 1:
+                index -= offsets
             return index.reshape(values.shape)
         index -= down
         index += up

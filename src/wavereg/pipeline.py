@@ -125,17 +125,17 @@ class _LevelObjective:
     """One level's objective, bit for bit the sum of ``mi_between`` over the
     plane pairs of ``fixed`` and ``warp(moving, p)`` in stack order, or -inf
     on a lost overlap. A call also scores ``ahead`` rows, as many candidates
-    as hold 16,384 values (k * H * W each) together, and answers a later call
-    from them when its parameter vector matches one byte for byte: 7 ahead up
-    to 32x32 or 4x16x16, 3 at 64x64 or 4x32x32, none from 128x128 or 4x64x64
-    on. Larger batches page-fault their temporaries: four 4x128x128
-    candidates a call took ~200,000 minor faults and ~70% more CPU per level,
-    although an accept, which discards the rest of a batch, came only once
-    in 20-80 candidates. A bin depends only on the value and the range, so a
-    fixed plane is binned whole (clipped into the range) once per masked
-    range and kept as histogram cell offsets in one ``lru_cache`` of the
-    level's last ``_MEMO_SIZE * k`` (plane, range) pairs, k the level's
-    planes."""
+    as hold ``_PASS`` (16,384) values (k * H * W each) together, one
+    ``resample`` pass, and answers a later call from them when its parameter
+    vector matches one byte for byte: 7 ahead up to 32x32 or 4x16x16, 3 at
+    64x64 or 4x32x32, none from 128x128 or 4x64x64 on. Larger batches
+    page-fault their temporaries: four 4x128x128 candidates a call took
+    ~200,000 minor faults and ~70% more CPU per level, although an accept,
+    which discards the rest of a batch, came only once in 20-80 candidates.
+    A bin depends only on the value and the range, so a fixed plane is
+    binned whole (clipped into the range) once per masked range and kept as
+    histogram cell offsets in one ``lru_cache`` of the level's last
+    ``_MEMO_SIZE * k`` (plane, range) pairs, k the level's planes."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -148,7 +148,7 @@ class _LevelObjective:
         planes, bins, kind = self.fixed, self.bins, np.min_scalar_type(self.cells - 1)
         self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: (
             (_bin_index(np.clip(planes[p], lo, hi), lo, hi, bins) + p * bins) * bins).astype(kind))
-        self.batch = max(1, 4 * _PASS // moving.size)
+        self.batch = max(1, _PASS // moving.size)
         self.kept = {}  # parameter vector bytes -> value, of the last pass
 
     def __call__(self, p: AffineParams, ahead=()) -> float:

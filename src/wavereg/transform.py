@@ -20,7 +20,8 @@ so its bytes equal ``scipy.ndimage.map_coordinates(order=1,
 mode="constant")`` (the test oracle) in about half the time per pixel. It
 returns only the masked samples, all the registration objective reads, in
 per-thread memory (``_buffer``) that its next call reuses; ``warp`` scatters
-one candidate's into new zeros. Other temporaries are sized by 4,096-pixel passes.
+one candidate's into new zeros. Its passes hold 16,384 values (k per pixel),
+and their temporaries, but for the list of masked pixels, live there too.
 """
 
 from __future__ import annotations
@@ -109,17 +110,19 @@ def scale_params_between_levels(params: AffineParams, factor: float) -> AffinePa
     return replace(params, tx=params.tx * factor, ty=params.ty * factor)
 
 
-# pixels per ``resample`` pass (its temporaries stay small enough to be reused from
-# the heap's free lists, not page-faulted in); ``pipeline`` caps look-ahead at 4 * _PASS values
-_PASS = 4096
+# values (k planes x pixels) per ``resample`` pass and per look-ahead batch of
+# ``pipeline``; a pass's temporaries (128-512 KiB here, where freshly allocated
+# ones went back to the kernel after each pass) all live in ``_buffer`` memory
+_PASS = 16384
 
 _local = threading.local()
 
 
 def _buffer(name: str, shape, dtype=np.float64) -> np.ndarray:
     """Memory kept per ``name`` (one ``dtype`` each) and per thread, viewed as
-    an array of ``shape``: the largest temporaries of ``resample`` and of
-    ``metric._bin_index`` live here, so no call allocates, or page-faults, them."""
+    an array of ``shape``: the samples and the per-pass temporaries of
+    ``resample`` and the largest ones of ``metric._bin_index`` live here, so no
+    call allocates, or page-faults, them."""
     buf = getattr(_local, name, None)
     if buf is None or buf.size < math.prod(shape):
         buf = np.empty(math.prod(shape), dtype)
@@ -134,63 +137,71 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     mask]`` byte for byte, in a per-thread buffer that the next call reuses.
 
     A pass resamples the whole planes of as many candidates as fit in
-    ``_PASS`` pixels, or else a block of rows (or one row) of one. A pixel's
-    weights follow SciPy's order-1 rule: with f the fraction of a source
-    coordinate, w0 = 1 - f and w1 = 1 - w0 (not always equal to f). Each
-    corner term is (v * wy) * wx, and the four terms are summed in SciPy's
-    order; adding 0.0 last matches SciPy's sum starting from 0.0, which
-    turns a -0.0 total into +0.0. On the last column or row the second
-    corner lies outside the plane, where its weight is exactly 0: its index
-    reads the next row's first pixel, or is clipped to the last pixel. That
-    is why the planes must be finite: 0 * NaN is NaN, where SciPy adds 0.
+    ``_PASS`` values (k per pixel), or else a block of rows (or one row) of
+    one. A pixel's weights follow SciPy's order-1 rule: with f the fraction of
+    a source coordinate, w0 = 1 - f and w1 = 1 - w0 (not always equal to f).
+    Each corner term is (v * wy) * wx, and the four terms are added to 0.0
+    in SciPy's order, as SciPy sums them, which turns a -0.0 total into
+    +0.0. On the last column or row the second corner lies outside the
+    plane, where its weight is exactly 0: its index reads the next row's
+    first pixel, or is clipped to the last pixel. That is why the planes
+    must be finite: 0 * NaN is NaN, where SciPy adds 0.
     """
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
     m = _center_adjusted(vectors, image_center(moving))[:, ::-1].T[..., None, None]  # [x/y/1, y/x]
     xs, ys = np.arange(width), np.arange(height)[:, None]  # the pixel columns and rows
-    upper = np.array([height - 1.0, width - 1.0])[:, None, None]  # the mask's upper bounds
-    corners = np.array([[[0], [1]], [[width], [width + 1]]])  # flat offsets of the four corners
+    upper = np.array([height - 1.0, width - 1.0])[:, None, None, None]  # the mask's upper bounds
+    corners = np.array([1, width, width + 1])[:, None]  # flat offsets of three corners from the first
     planes = moving.reshape(-1, height * width)
     k = len(planes)
     masks = np.empty((m.shape[2], height, width), dtype=bool)
-    rows = max(1, _PASS // width)
+    rows = max(1, _PASS // (k * width))
     group = min(len(masks), rows // height) or 1  # candidates per pass
-    buf = _buffer("resample", (k * (masks.size + 4 * group * min(rows, height) * width),))
+    size = group * min(rows, height) * width  # pixels per pass
+    # one request: the samples, then per pass the corner values (where the
+    # coordinates, flags and floors live before the gather), the corner index
+    # (then the weights) and the fractions
+    buf = _buffer("resample", (k * masks.size + (4 * k + 6) * size,))
     samples, gathered = buf[:k * masks.size].reshape(k, -1), buf[k * masks.size:]
+    weights, fractions = gathered[4 * k * size:], gathered[(4 * k + 4) * size:]
+    flags, index = gathered[2 * size:].view(bool), weights.view(np.intp)
     done = 0
     for first in range(0, len(masks), group):
         pass_m = m[:, :, first:first + group]
         cols = pass_m[0] * xs
         for top in range(0, height, rows):
-            coords = cols + pass_m[1] * ys[top:top + rows]
+            block = masks[first:first + group, top:top + rows]  # a view
+            coords = gathered[:2 * block.size].reshape(2, *block.shape)
+            np.add(cols, pass_m[1] * ys[top:top + rows], out=coords)
             coords += pass_m[2]
-            coords = coords.reshape(2, -1, width)  # candidates' rows one after another
-            inside = coords >= 0.0
-            inside &= coords <= upper
-            block = masks[first:first + group, top:top + rows].reshape(-1, width)  # a view
+            inside, below = flags[:4 * block.size].reshape(2, *coords.shape)
+            np.greater_equal(coords, 0.0, out=inside)
+            inside &= np.less_equal(coords, upper, out=below)
             np.logical_and(inside[0], inside[1], out=block)
             pixels = block.ravel().nonzero()[0]
             n = pixels.size
-            # w[0] and w[1] hold (wy0, wx0) and (wy1, wx1); "clip" lets take
-            # write into its out= argument without a buffer copy
-            w = np.empty((2, 2, n))
-            coords.reshape(2, -1).take(pixels, axis=1, out=w[1], mode="clip")
-            corner = w[1].astype(np.intp)  # truncation is floor: coords >= 0
-            w[1] -= corner
-            np.subtract(1.0, w[1], out=w[0])
-            np.subtract(1.0, w[0], out=w[1])
-            index = corner[0] * width
-            index += corner[1]
+            # f holds the masked (y, x) coordinates, then their fractions;
+            # "clip" lets take write into its out= argument without a copy
+            f = fractions[:2 * n].reshape(2, n)
+            coords.reshape(2, -1).take(pixels, axis=1, out=f, mode="clip")
+            floor = np.floor(f, out=gathered[:2 * n].reshape(2, n))  # over the read coordinates
+            f -= floor
+            floor[0] *= width
+            floor[0] += floor[1]  # the first corner's flat index, exact in float64
+            corner = index[:4 * n].reshape(4, n)
+            corner[0] = floor[0]
+            np.add(corner[0], corners, out=corner[1:])
             # v[p, a, b] is plane p at source corner (y + a, x + b)
             v = gathered[:k * 4 * n].reshape(k, 2, 2, n)
-            planes.take(index + corners, axis=1, out=v, mode="clip")
+            planes.take(corner.reshape(2, 2, n), axis=1, out=v, mode="clip")
+            w = weights[:4 * n].reshape(2, 2, n)  # (wy0, wx0) and (wy1, wx1), over the read index
+            np.subtract(1.0, f, out=w[0])
+            np.subtract(1.0, w[0], out=w[1])
             v *= w[:, 0, None]
             v *= w[:, 1]
-            acc = samples[:, done:done + n]
-            np.add(v[:, 0, 0], v[:, 0, 1], out=acc)
-            acc += v[:, 1, 0]
-            acc += v[:, 1, 1]
-            acc += 0.0
+            # one reduce adds the four terms to 0.0 in order, along axis 1
+            np.add.reduce(v.reshape(k, 4, n), 1, out=samples[:, done:done + n], initial=0.0)
             done += n
     return samples[:, :done], masks
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ def test_write_fixture_outputs(tmp_path):
     assert fixed.shape == moving.shape == (64, 64)
     side = json.loads((tmp_path / "fx" / "truth.json").read_text())
     assert side["truth"]["tx"] == 2.0
+
+
+def test_write_fixture_takes_numpy_integer_counts(tmp_path):
+    """A spec with NumPy-integer size and seed, which ``validate`` accepts,
+    writes the whole fixture, and the sidecar of the plain-int spec (its
+    echo once made ``save_json`` fail after both images were written)."""
+    plain = FixtureSpec(size=64, seed=3, base_pattern="noise_smoothed")
+    write_fixture(replace(plain, size=np.int64(64), seed=np.int64(3)), tmp_path / "np")
+    write_fixture(plain, tmp_path / "int")
+    for name in ("fixed.pgm", "moving.pgm", "truth.json"):
+        assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
 
 
 @pytest.mark.parametrize("size", [64, 65, 97, 256])

@@ -539,9 +539,10 @@ def test_look_ahead_batch_holds_at_most_16384_values(shape, scored, monkeypatch)
     assert passes == [scored]
 
 
-# a fresh interpreter scoring a 64x64 pair's four 32x32 sub-bands (or the
-# pair itself, argument "plane"), four look-ahead candidates per pass; prints
-# the minor page faults of 200 passes
+# a fresh interpreter scoring a pair's four sub-bands (or the pair itself,
+# argument "plane") at the given size, as many look-ahead candidates per pass
+# as the level's batch (4 at 64x64, 1 for a 128x128 plane); prints the minor
+# page faults of 200 passes
 _FAULT_CHECK = """
 import resource, sys
 import numpy as np
@@ -551,10 +552,10 @@ from wavereg.pipeline import _LevelObjective
 from wavereg.transform import AffineParams
 from wavereg.wavelet import dwt2
 fixed, moving, _ = generate_pair(FixtureSpec(
-    size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05), remap="invert", seed=5))
-planes = (lambda image: image[None]) if sys.argv[2:] == ["plane"] else dwt2
+    size=int(sys.argv[3]), truth=AffineParams(tx=3, ty=-2, theta=0.05), remap="invert", seed=5))
+planes = (lambda image: image[None]) if sys.argv[2] == "plane" else dwt2
 objective = _LevelObjective(planes(fixed), planes(moving), 50)
-assert objective.batch == 4
+assert objective.batch == int(sys.argv[4])
 rng = np.random.default_rng(0)
 def evaluate():
     rows = AffineParams().as_vector() + rng.normal(scale=0.02, size=(objective.batch, 6))
@@ -575,10 +576,12 @@ def test_look_ahead_level_does_not_page_fault():
     these ~120 KB arrays went back to the kernel after every pass under
     glibc's default trim threshold and were page-faulted in again: over 100
     faults a pass in this check. A 64x64 plane's pass of four candidates
-    holds 16,384 values, so its float64 temporaries are 128 KiB."""
+    holds 16,384 values, so its float64 temporaries are 128 KiB, as are
+    those of the one pass of a 128x128 plane's single candidate."""
     src = str(Path(wavereg.__file__).resolve().parents[1])
-    for planes in ("sub-bands", "plane"):
-        out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src, planes], check=True,
-                             capture_output=True, text=True, timeout=120)
+    for planes, size, batch in (("sub-bands", "64", "4"), ("plane", "64", "4"),
+                                ("plane", "128", "1")):
+        out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src, planes, size, batch],
+                             check=True, capture_output=True, text=True, timeout=120)
         faults = int(out.stdout.strip().splitlines()[-1])
-        assert faults < 2 * 200, (planes, faults)
+        assert faults < 2 * 200, (planes, size, faults)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from wavereg import AffineParams, invert_params
+from wavereg import AffineParams, invert_params, transform
 from wavereg.imageio import save_json
 from wavereg.transform import (
     _center_adjusted,
@@ -239,6 +239,17 @@ def _warp_cases(rng):
             center = (0.0, 0.0)
         yield stack, params if center is None else _about(params, center, stack)
     yield rng.normal(size=(2, 9, 9)), AffineParams(tx=1000.0)  # empty mask
+    # passes of 16,384 values: a plane over one pass, an integer shift onto
+    # the last row and column of a 256x256 plane, a row wider than a pass,
+    # and two planes whose pass ends mid-plane (81 of 100 rows)
+    yield rng.normal(size=(1, 150, 150)), AffineParams(tx=0.7, ty=-1.3, theta=0.1, k=0.05)
+    yield rng.normal(size=(1, 256, 256)), AffineParams(tx=1.0, ty=2.0)
+    yield rng.normal(size=(1, 1, 20_000)), AffineParams(tx=2.5)
+    yield rng.normal(size=(2, 100, 100)), AffineParams(tx=-0.4, ty=0.3, sx=1.1, k=0.05)
+    # a zero shift of a lone pixel, turned by pi about it (the origin): its
+    # coordinates' products are -0.0 before the translation adds +0.0, and
+    # it is a pass of one masked pixel
+    yield rng.normal(size=(1, 1, 1)), AffineParams(theta=math.pi)
 
 
 def test_warp_bytes_equal_map_coordinates():
@@ -291,6 +302,18 @@ def test_warp_threads_keep_their_own_buffers():
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_resample_keeps_one_pass_of_temporaries():
+    """A call on a 256x256 plane keeps its 65,536 samples and one 16,384-value
+    pass of temporaries (corner values, corner index and fractions: 10 floats
+    a pixel) per thread, 1,835,008 bytes, and nothing more."""
+    def call():
+        resample(np.ones((1, 256, 256)), AffineParams(tx=0.5, theta=0.1).as_vector())
+        return sum(buf.nbytes for buf in vars(transform._local).values())
+
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread keeps nothing yet
+        assert pool.submit(call).result(timeout=60) <= 1_835_008
 
 
 def test_center_adjusted_bytes_equal_matrix_formula():
