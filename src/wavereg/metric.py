@@ -10,15 +10,16 @@ Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
 and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
-with the top edge counted in the last bin. All binning temporaries, per-run
-bounds too, live in per-thread memory reused from call to call (``_buffer``),
-and every array returned is new. One ``np.bincount`` fills the joint histogram.
+with the top edge counted in the last bin. All binning and MI temporaries
+but the nonzero cells live in per-thread memory reused from call to call
+(``_buffer``). One ``np.bincount`` fills the joint histogram.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -47,13 +48,12 @@ def _degenerate(fmin: float, fmax: float, mmin: float, mmax: float) -> bool:
             or mmax - mmin <= _FLAT_TOL * max(-mmin, mmax))
 
 
-def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray:
+def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None, out=None) -> np.ndarray:
     """Index of the ``linspace(lo, hi, bins + 1)`` bin holding each value in
     [lo, hi]: the last edge not above it, the top edge in the last bin.
     ``values`` is one row with scalar bounds, or (r, n) rows with (r,) or, in
     runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone.
-    Returns a new array; its (r, n) temporaries, per-value bounds included,
-    live in reused ``_buffer``s."""
+    Returns a new array, or ``out``; its (r, n) temporaries live in ``_buffer``s."""
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     rows = np.atleast_2d(values)
     step = (hi - lo) / bins
@@ -65,21 +65,20 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None) -> np.ndarray
     lower = edges.ravel()  # and lower[1:] the upper edges
     # bounds r's edges start at r * (bins + 1); no value leaves its own, as
     # index 0 never steps down and the last bin never steps up
-    guess = edge = _buffer("edges", rows.shape)
-    down, up = _buffer("flags", (2, *rows.shape), bool)
-    if lo.size > len(rows):  # row p's values in run j: bounds p * s + j
-        ids = np.add(np.arange(0, lo.size, len(counts))[:, None], np.repeat(
-            np.arange(len(counts)), counts), out=_buffer("bound_ids", rows.shape, np.intp))
-        bound = _buffer("bounds", rows.shape)
-        np.subtract(rows, lo.take(ids, out=bound, mode="clip"), out=guess)
-        guess /= (hi - lo).take(ids, out=bound, mode="clip")
-        offsets = np.multiply(ids, bins + 1, out=ids)
+    offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None]
+    if lo.size > len(rows):  # row p's run j: bounds p * s + j, copied over the run
+        bounds = np.concatenate((lo, hi - lo, offsets), 1).T.reshape(3, len(rows), -1, 1)
+        per, offsets = _buffer("edges", (2, *rows.shape)), _buffer("offsets", rows.shape, np.intp)
+        for j, run in enumerate(map(slice, accumulate([0, *counts[:-1]]), accumulate(counts))):
+            per[..., run], offsets[:, run] = bounds[:2, :, j], bounds[2, :, j]
+        guess, span = np.subtract(rows, per[0], out=per[0]), per[1]
     else:
-        offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None]
-        np.subtract(rows, lo, out=guess)
-        guess /= hi - lo
+        guess, span = np.subtract(rows, lo, out=_buffer("edges", rows.shape)), hi - lo
+    guess /= span
+    edge, (down, up) = guess, _buffer("flags", (2, *rows.shape), bool)
+    index = np.empty(rows.shape, np.intp) if out is None else out.reshape(rows.shape)
     guess *= bins
-    index = guess.astype(np.intp)
+    np.copyto(index, guess, casting="unsafe")  # truncated, as astype
     np.minimum(index, bins - 1, out=index)
     if lo.size > 1:  # one row of bounds has offset 0: no pass adds it
         index += offsets
@@ -136,12 +135,14 @@ def joint_histogram(
 def _mi_bits(counts: np.ndarray, total) -> list[float]:
     """MI in bits of each (b, b) histogram of ``total`` samples (or (n, 1, 1) totals) in a
     stack of counts: ``np.sum``'s pairwise ``np.add.reduce`` over its own nonzero cells."""
-    p = counts / total
-    outer = np.add.reduce(p, 2)[:, :, None] * np.add.reduce(p, 1)[:, None, :]
-    nz = p > 0
-    cells = p[nz]
-    terms = cells * np.log2(cells / outer[nz])
-    stops = nz.reshape(len(p), -1).sum(1).cumsum().tolist()
+    p = np.divide(counts, total, out=_buffer("mi", counts.shape))
+    outer = np.multiply(np.add.reduce(p, 2)[:, :, None], np.add.reduce(p, 1)[:, None, :],
+                        out=_buffer("outer", counts.shape))
+    nz = np.flatnonzero(np.greater(p, 0, out=_buffer("nonzero", counts.shape, bool)))
+    cells, terms = p.take(nz), outer.take(nz)  # terms: cells * log2(cells / outer), in place
+    np.log2(np.divide(cells, terms, out=terms), out=terms)
+    terms *= cells
+    stops = np.searchsorted(nz, np.arange(1, len(p) + 1) * p[0].size).tolist()
     return [float(np.add.reduce(terms[a:b])) for a, b in zip([0] + stops, stops)]
 
 

@@ -30,9 +30,9 @@ import numpy as np
 
 from .metric import (_bin_index, _check_bins, _degenerate, _mi_bits, correlation_coefficient,
                      mi_between)
-from .optimizer import OptimizerConfig, OptimizerTrace, _check_integers, optimize
+from .optimizer import WINDOW, OptimizerConfig, OptimizerTrace, _check_integers, optimize
 from .pyramid import build_pyramid
-from .transform import _PASS, AffineParams, resample, scale_params_between_levels, warp
+from .transform import _PASS, AffineParams, _buffer, resample, scale_params_between_levels, warp
 from .wavelet import dwt2, idwt2
 
 METHODS = ("pyramid", "wavelet", "dwt_pyramid")
@@ -119,23 +119,23 @@ def _coarse_to_fine(objectives, config: RegistrationConfig):
 
 # (plane, range) tables of binned fixed planes kept per plane of a level
 _MEMO_SIZE = 8
+_ENDS = 32  # lowest and highest pixels kept per fixed plane
 
 
 class _LevelObjective:
     """One level's objective, bit for bit the sum of ``mi_between`` over the
     plane pairs of ``fixed`` and ``warp(moving, p)`` in stack order, or -inf
     on a lost overlap. A call also scores ``ahead`` rows, as many candidates
-    as hold ``_PASS`` (16,384) values (k * H * W each) together, one
-    ``resample`` pass, and answers a later call from them when its parameter
-    vector matches one byte for byte: 7 ahead up to 32x32 or 4x16x16, 3 at
-    64x64 or 4x32x32, none from 128x128 or 4x64x64 on. Larger batches
-    page-fault their temporaries: four 4x128x128 candidates a call took
-    ~200,000 minor faults and ~70% more CPU per level, although an accept,
-    which discards the rest of a batch, came only once in 20-80 candidates.
-    A bin depends only on the value and the range, so a fixed plane is
-    binned whole (clipped into the range) once per masked range and kept as
-    histogram cell offsets in one ``lru_cache`` of the level's last
-    ``_MEMO_SIZE * k`` (plane, range) pairs, k the level's planes."""
+    as hold 4 * ``_PASS`` (65,536) values (k * H * W each) up to ``WINDOW``,
+    and answers a later call from them when its parameter vector matches one
+    byte for byte: 8 up to 64x64 or 4x32x32, 4 at 128x128 or 4x64x64, 1 from
+    256x256 or 4x128x128 on. A fixed plane's masked range is that of its
+    masked ``_ENDS`` lowest and highest pixels (no other is lower or higher),
+    or of all its masked pixels where none of those is masked. A bin depends
+    only on the value and the range, so a fixed plane is binned whole
+    (clipped into the range) once per masked range and kept as cell offsets
+    in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k`` (plane,
+    range) pairs, k the level's planes."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -148,42 +148,53 @@ class _LevelObjective:
         planes, bins, kind = self.fixed, self.bins, np.min_scalar_type(self.cells - 1)
         self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: (
             (_bin_index(np.clip(planes[p], lo, hi), lo, hi, bins) + p * bins) * bins).astype(kind))
-        self.batch = max(1, _PASS // moving.size)
+        self.batch = min(WINDOW, max(1, 4 * _PASS // moving.size))
+        # (plane, lowest/highest, n): each plane's pixels under (over) its n-th value, and ties
+        n, ends = min(_ENDS, self.fixed.shape[1]), []
+        for plane, (low, high) in zip(self.fixed, np.sort(self.fixed, 1)[:, [n - 1, -n]]):
+            for beyond, tied in ((plane < low, plane == low), (plane > high, plane == high)):
+                beyond, tied = np.flatnonzero(beyond), np.flatnonzero(tied)
+                spread = np.arange(n - len(beyond)) * len(tied) // (n - len(beyond))
+                ends.append(np.concatenate((beyond, tied[spread])))  # ties spread over the plane
+        self.ends = np.reshape(ends, (len(fixed), 2, n))
+        self.end_values = self.fixed[np.arange(len(fixed))[:, None, None], self.ends] * [[1], [-1]]
         self.kept = {}  # parameter vector bytes -> value, of the last pass
 
     def __call__(self, p: AffineParams, ahead=()) -> float:
         vector = p.as_vector()
         if vector.tobytes() not in self.kept:
-            vectors = vector[None] if self.batch == 1 else np.concatenate(
-                ([vector], np.reshape(ahead, (-1, 6))[:self.batch - 1]))
+            vectors = np.concatenate(([vector], np.reshape(ahead, (-1, 6))[:self.batch - 1]))
             self.kept = dict(zip(map(np.ndarray.tobytes, vectors), self._score(vectors)))
         return self.kept[vector.tobytes()]
 
     def _score(self, vectors: np.ndarray) -> list[float]:
         samples, masks = resample(self.moving, vectors)
         inside = masks.reshape(len(masks), -1)
-        parts = [np.compress(mask, self.fixed, axis=1) for mask in inside]
-        counts = [part.shape[1] for part in parts]
+        counts = [np.count_nonzero(mask) for mask in inside]
         starts = [0, *itertools.accumulate(counts[:-1])]
         try:
             if min(counts) < MIN_OVERLAP_FRACTION * inside.shape[1]:
                 raise ValueError("lost overlap")
-            fixed = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            bounds = [f.reduceat(x, starts, 1) for x in (fixed, samples)
-                      for f in (np.minimum, np.maximum)]
+            # the range of the masked end pixels; of all masked ones where none is (inf)
+            ends = (np.where(inside[:, self.ends], self.end_values, np.inf).min(3) * [1, -1]).T
+            for b in np.flatnonzero(np.isinf(ends).any((0, 1))) if np.isinf(ends).any() else ():
+                ends[:, :, b] = [f(self.fixed[:, inside[b]], 1) for f in (np.min, np.max)]
+            bounds = [*ends, *(f.reduceat(samples, starts, 1) for f in (np.minimum, np.maximum))]
             ranges = [b.tolist() for b in bounds]  # [plane][candidate]
             flat = [[_degenerate(*pair) for pair in zip(*plane)] for plane in zip(*ranges)]
         except ValueError:  # a lost overlap or a non-finite range: each alone
             return [-math.inf] if len(vectors) == 1 else [self._score(v[None])[0] for v in vectors]
         if any(map(any, flat)):  # a flat pair's cells are never read: any range holding its values
             bounds[1::2] = [np.where(flat, b + abs(b) + 1.0, b) for b in bounds[1::2]]
-        cell = _bin_index(samples, *bounds[2:], self.bins, counts)
+        cell = _bin_index(samples, *bounds[2:], self.bins, counts,
+                          out=_buffer("cells", samples.shape, np.intp))
         keys = zip(ranges[0], bounds[1].tolist())  # [plane]: (lows, highs)
-        cell += np.compress(inside.ravel(), np.array(
-            [[self.binned(plane, *key) for key in zip(*row)] for plane, row in enumerate(keys)]
-        ).reshape(len(cell), -1), axis=1)
-        if len(counts) > 1:
-            cell += np.repeat(np.arange(0, len(counts) * self.cells, self.cells), counts)
+        tables = _buffer("tables", (len(cell), *inside.shape), np.uint32)
+        np.concatenate([self.binned(plane, *key) for plane, row in enumerate(keys)
+                        for key in zip(*row)], out=tables.reshape(-1))
+        if len(counts) > 1:  # candidate j's cells from j * cells
+            tables += np.arange(0, len(counts) * self.cells, self.cells, dtype=np.uint32)[:, None]
+        cell += tables[np.broadcast_to(inside, tables.shape).copy()].reshape(cell.shape)
         hist = np.bincount(cell.ravel(), minlength=len(counts) * self.cells)
         mis = iter(_mi_bits(hist.reshape(-1, self.bins, self.bins),
                             np.repeat(counts, len(cell))[:, None, None]))

@@ -110,22 +110,22 @@ def scale_params_between_levels(params: AffineParams, factor: float) -> AffinePa
     return replace(params, tx=params.tx * factor, ty=params.ty * factor)
 
 
-# values (k planes x pixels) per ``resample`` pass and per look-ahead batch of
-# ``pipeline``; a pass's temporaries (128-512 KiB here, where freshly allocated
-# ones went back to the kernel after each pass) all live in ``_buffer`` memory
+# values (k planes x pixels) per ``resample`` pass, a quarter of a look-ahead
+# batch of ``pipeline``; a pass's temporaries (128-512 KiB here, where freshly
+# allocated ones went back to the kernel after each pass) live in ``_buffer``s
 _PASS = 16384
 
 _local = threading.local()
 
 
 def _buffer(name: str, shape, dtype=np.float64) -> np.ndarray:
-    """Memory kept per ``name`` (one ``dtype`` each) and per thread, viewed as
-    an array of ``shape``: the samples and the per-pass temporaries of
-    ``resample`` and the largest ones of ``metric._bin_index`` live here, so no
-    call allocates, or page-faults, them."""
+    """Memory kept per ``name`` (one ``dtype`` each) and per thread, grown in
+    whole ``_PASS`` elements, viewed as an array of ``shape``: ``resample``'s
+    samples and the per-pass and per-batch temporaries of the objective live
+    here, so no call allocates, or page-faults, them."""
     buf = getattr(_local, name, None)
     if buf is None or buf.size < math.prod(shape):
-        buf = np.empty(math.prod(shape), dtype)
+        buf = np.empty(-(-math.prod(shape) // _PASS) * _PASS, dtype)
         setattr(_local, name, buf)
     return np.ndarray(shape, dtype, buf)
 

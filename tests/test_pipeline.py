@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from wavereg.pipeline import (
     _LevelObjective,
 )
 from wavereg.pyramid import build_pyramid
+from wavereg import transform
 from wavereg.transform import invert_params, scale_params_between_levels, warp
 from wavereg.wavelet import dwt2
 
@@ -486,6 +488,52 @@ def test_level_objective_equals_summed_mi_between():
     assert narrower > 0 and evicted > 0 and lost > 0 and mixed > 0
 
 
+def _end_levels():
+    """(name, fixed stack, moving stack) of the finest image and sub-band
+    levels of a 128x128 pair, as they are and with fixed planes whose 32
+    lowest pixels all lie in columns 0-2, whose minimum is tied over many
+    pixels, or whose masked minimum is -0.0 and +0.0 at once."""
+    fixed, moving, _ = generate_pair(FixtureSpec(
+        size=128, truth=AffineParams(tx=3, ty=-2, theta=0.05), remap="invert", seed=5))
+    for k, planes in ((1, lambda image: image[None]), (4, dwt2)):
+        f, m = planes(fixed), planes(moving)
+        low = f.min(axis=(1, 2), keepdims=True)
+        yield f"k{k}", f, m
+        cornered = f.copy()
+        cornered[:, :, :3] = low - 1.0 - np.arange(3)
+        yield f"k{k}-lowest-in-columns-0-2", cornered, m
+        tied = f.copy()
+        tied[:, 30:100:3, 30:100:3] = low
+        yield f"k{k}-tied-minimum", tied, m
+        zeros = f - low  # +0.0 where the plane is lowest
+        zeros[:, 60:68, 60:68] = -0.0
+        yield f"k{k}-signed-zeros", zeros, m
+
+
+def test_level_objective_reads_masked_ranges_from_the_ends():
+    """Scored four candidates a call, the finest levels of a 128x128 pair give
+    the bits of ``_summed_mi``: where the fixed range comes from the masked
+    lowest and highest pixels, where a shift masks out all of the lowest
+    pixels (the masked pixels are then read whole), with the minimum tied
+    over many pixels, and with -0.0 and +0.0 both at the minimum."""
+    rng = np.random.default_rng(7)
+    for name, fixed, moving in _end_levels():
+        objective = _LevelObjective(fixed, moving, 50)
+        assert objective.batch == 4, name
+        size = moving.shape[-1]
+        candidates = [AffineParams(
+            tx=rng.normal() * size / 40, ty=rng.normal() * size / 40, theta=rng.normal() * 0.05,
+            sx=rng.uniform(0.95, 1.05), sy=rng.uniform(0.95, 1.05)) for _ in range(6)]
+        candidates += [AffineParams(tx=-4.0, ty=rng.normal(), theta=0.01 * i) for i in range(2)]
+        for p in candidates[-2:]:  # neither keeps any of a plane's lowest pixels
+            mask = warp(moving, p)[1].ravel()
+            assert mask[objective.ends[:, 0]].any() == (not name.endswith("columns-0-2")), name
+        expected = [_summed_mi(fixed, moving, objective.bins, p).hex() for p in candidates]
+        for start in range(0, len(candidates), 4):
+            values = objective._score(np.array([p.as_vector() for p in candidates[start:start + 4]]))
+            assert [v.hex() for v in values] == expected[start:start + 4], name
+
+
 def test_level_objective_is_freed_by_reference_counting():
     """A level objective and its binned fixed planes are in no reference
     cycle: they are freed with the last reference, not at a later garbage
@@ -523,12 +571,13 @@ def test_one_objective_call_per_evaluated_record(method, monkeypatch):
 
 
 @pytest.mark.parametrize("shape, scored", [
-    ((1, 32, 32), 8), ((1, 64, 64), 4), ((4, 32, 32), 4), ((1, 128, 128), 1), ((4, 64, 64), 1),
-], ids=["32x32", "64x64", "4x32x32", "128x128", "4x64x64"])
-def test_look_ahead_batch_holds_at_most_16384_values(shape, scored, monkeypatch):
+    ((1, 32, 32), 8), ((1, 64, 64), 8), ((4, 32, 32), 8), ((1, 128, 128), 4), ((4, 64, 64), 4),
+    ((1, 256, 256), 1), ((4, 128, 128), 1),
+], ids=["32x32", "64x64", "4x32x32", "128x128", "4x64x64", "256x256", "4x128x128"])
+def test_look_ahead_batch_holds_at_most_65536_values(shape, scored, monkeypatch):
     """Offered the optimizer's whole window, a call scores as many candidates
-    as hold 16,384 values together: several up to 64x64 or 4x32x32, one from
-    128x128 or 4x64x64 on."""
+    as hold 65,536 values together, at most the window: 8 up to 64x64 or
+    4x32x32, 4 at 128x128 or 4x64x64, one from 256x256 or 4x128x128 on."""
     passes = []
     score = _LevelObjective._score
     monkeypatch.setattr(_LevelObjective, "_score",
@@ -539,10 +588,52 @@ def test_look_ahead_batch_holds_at_most_16384_values(shape, scored, monkeypatch)
     assert passes == [scored]
 
 
+def test_batch_of_every_workload_level_is_what_a_call_scores():
+    """``batch`` is what one call scores, the optimizer's window included:
+    for every level of the benchmark's three workloads (64x64, 128x128 and
+    256x256 images, three levels of the image or of its sub-bands) it is the
+    look-ahead table's value, never more than ``WINDOW`` (16x16 and 4x8x8
+    levels said 64)."""
+    expected = {(1, 16, 16): 8, (1, 32, 32): 8, (1, 64, 64): 8, (1, 128, 128): 4,
+                (1, 256, 256): 1, (4, 8, 8): 8, (4, 16, 16): 8, (4, 32, 32): 8,
+                (4, 64, 64): 4, (4, 128, 128): 1}
+    levels = {level.shape for size in (64, 128, 256) for planes in (np.ones((1, size, size)),
+              dwt2(np.ones((size, size)))) for level in build_pyramid(planes, 3)}
+    assert levels == set(expected)
+    for shape, batch in expected.items():
+        fixed, moving = np.random.default_rng(0).uniform(size=(2, *shape))
+        assert _LevelObjective(fixed, moving, 50).batch == batch, shape
+
+
+def test_look_ahead_batches_keep_bounded_memory():
+    """Per-thread memory that a new thread keeps after one 4-candidate call
+    on a 128x128 plane and one on a 4x64x64 stack: ``resample``'s 1,835,008
+    bytes; for each of the 65,536 values 8 bytes of bin index, 16 of guess
+    and run span, 8 of run offset, 2 of comparison flags and 4 of fixed cell
+    table (38 in all); 17 bytes a cell for the MI of the 16,384-cell
+    histograms. A single candidate has no run spans or offsets (22 bytes a
+    value). Before these were kept, the two calls (then one candidate each)
+    kept 1,605,632 bytes and a 256x256 call 2,490,368."""
+    def kept(shapes, batch):
+        rng = np.random.default_rng(0)
+        for shape in shapes:
+            fixed, moving = rng.uniform(size=(2, *shape))
+            rows = AffineParams().as_vector() + rng.normal(scale=0.02, size=(batch, 6))
+            _LevelObjective(fixed, moving, 50)(AffineParams.from_vector(rows[0]), ahead=rows[1:])
+        return sum(buf.nbytes for buf in vars(transform._local).values())
+
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread keeps nothing yet
+        assert pool.submit(kept, [(1, 128, 128), (4, 64, 64)], 4).result(timeout=60) <= (
+            1_835_008 + 65_536 * 38 + 16_384 * 17)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(kept, [(1, 256, 256)], 1).result(timeout=60) <= (
+            1_835_008 + 65_536 * 22 + 16_384 * 17)
+
+
 # a fresh interpreter scoring a pair's four sub-bands (or the pair itself,
 # argument "plane") at the given size, as many look-ahead candidates per pass
-# as the level's batch (4 at 64x64, 1 for a 128x128 plane); prints the minor
-# page faults of 200 passes
+# as the level's batch (8 at 64x64, 4 at 128x128); prints the minor page
+# faults of 200 passes
 _FAULT_CHECK = """
 import resource, sys
 import numpy as np
@@ -575,12 +666,13 @@ def test_look_ahead_level_does_not_page_fault():
     """A look-ahead pass reuses its largest temporaries. Allocated afresh,
     these ~120 KB arrays went back to the kernel after every pass under
     glibc's default trim threshold and were page-faulted in again: over 100
-    faults a pass in this check. A 64x64 plane's pass of four candidates
-    holds 16,384 values, so its float64 temporaries are 128 KiB, as are
-    those of the one pass of a 128x128 plane's single candidate."""
+    faults a pass in this check. Four candidates of a 128x128 plane or of a
+    4x64x64 stack hold 65,536 values, so their bin index and cell offsets
+    are 512 KiB and their histograms 128 KiB; allocated afresh, the stack's
+    took about 20,000 faults in this check."""
     src = str(Path(wavereg.__file__).resolve().parents[1])
-    for planes, size, batch in (("sub-bands", "64", "4"), ("plane", "64", "4"),
-                                ("plane", "128", "1")):
+    for planes, size, batch in (("sub-bands", "64", "8"), ("plane", "64", "8"),
+                                ("plane", "128", "4"), ("sub-bands", "128", "4")):
         out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src, planes, size, batch],
                              check=True, capture_output=True, text=True, timeout=120)
         faults = int(out.stdout.strip().splitlines()[-1])
