@@ -9,6 +9,8 @@ shown to the objective; their deviates are drawn a window at a time (a
 radius drops below ``EPSILON`` or the iteration budget is spent. This
 step-size rule (Styner et al. 2000, IEEE TMI 19:153) is fixed: a run is
 set by its budget and seed alone, and is deterministic for a fixed seed.
+A trace keeps its iterations as one (n, 9) float64 table, 72 bytes an
+iteration, and ``records`` builds ``IterationRecord``s from it on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +37,7 @@ WINDOW = 8  # candidates planned ahead, for an objective that scores several per
 
 def _check_integers(**values) -> None:
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value}")
 
 
@@ -63,10 +65,16 @@ class IterationRecord:
 
 @dataclass
 class OptimizerTrace:
-    records: list[IterationRecord] = field(default_factory=list)
+    # one row an iteration: value, accepted (1.0 or 0.0), radius, tx ... k
+    table: np.ndarray = field(default_factory=lambda: np.empty((0, 9)))
     best_value: float = -math.inf
     best_params: AffineParams | None = None
     termination_reason: str = "max_iterations"
+
+    @property
+    def records(self) -> tuple[IterationRecord, ...]:
+        return tuple(IterationRecord(it, AffineParams(*params), value, bool(accepted), radius)
+                     for it, (value, accepted, radius, *params) in enumerate(self.table.tolist()))
 
 
 def optimize(objective, p0: AffineParams, config: OptimizerConfig):
@@ -81,7 +89,7 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
     if not math.isfinite(f0):
         raise ValueError("invalid start: objective is not finite at p0")
     rng = np.random.default_rng(config.seed)
-    radius = INITIAL_RADIUS
+    radius, table = INITIAL_RADIUS, []
     # only strict improvements are accepted, so the parent is the best so far
     trace = OptimizerTrace(best_value=f0, best_params=p0)
     plan = deviates = np.empty((0, 6))  # this iteration's row first
@@ -96,24 +104,17 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
             plan = trace.best_params.as_vector() + steps
             ahead = plan[~(plan[:, 3:5] <= 0).any(1)]  # the ones it will evaluate
         candidate = AffineParams.from_vector(plan[0])
-        if candidate.sx <= 0 or candidate.sy <= 0:
-            f_cand = math.nan
-            accepted = False
-        else:
+        f_cand, accepted = math.nan, False
+        if not (candidate.sx <= 0 or candidate.sy <= 0):  # ahead's rule: a NaN scale is scored
             ahead = ahead[1:]  # ahead[0] was this candidate
             f_cand = float(objective(candidate, ahead=ahead))
             accepted = math.isfinite(f_cand) and f_cand > trace.best_value
-        trace.records.append(
-            IterationRecord(iteration=it, params=candidate, value=f_cand,
-                            accepted=accepted, radius=radius)
-        )
+        table.append((f_cand, accepted, radius, *plan[0].tolist()))
         plan, deviates = plan[1:] if not accepted else plan[:0], deviates[1:]
         if accepted:
-            trace.best_value = f_cand
-            trace.best_params = candidate
-            radius *= GROWTH_FACTOR
-        else:
-            radius *= SHRINK_FACTOR
+            trace.best_value, trace.best_params = f_cand, candidate
+        radius *= GROWTH_FACTOR if accepted else SHRINK_FACTOR
+    trace.table = np.array(table, dtype=np.float64).reshape(-1, 9)
     if radius < EPSILON:
         trace.termination_reason = "radius_below_epsilon"
     return trace.best_params, trace
@@ -127,6 +128,5 @@ def trace_to_csv(trace: OptimizerTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "mi_bits", "accepted", "radius",
                          *(f.name for f in fields(AffineParams))])
-        for rec in trace.records:
-            writer.writerow([rec.iteration, repr(rec.value), int(rec.accepted), repr(rec.radius),
-                             *map(repr, astuple(rec.params))])
+        for it, (value, accepted, radius, *params) in enumerate(trace.table.tolist()):
+            writer.writerow([it, repr(value), int(accepted), repr(radius), *map(repr, params)])

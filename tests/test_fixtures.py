@@ -119,6 +119,16 @@ def test_spec_counts_must_be_integers(field, value):
     assert fixed.shape == moving.shape == (spec.size, spec.size)
 
 
+@pytest.mark.parametrize("field", ["size", "seed"])
+def test_spec_counts_must_not_be_bools(field):
+    # a bool is a numbers.Integral: size=True read "size must be >= 64" and
+    # seed=True rendered seed 1's pair
+    spec = FixtureSpec(base_pattern="noise_smoothed", size=64, seed=1)
+    setattr(spec, field, True)
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got True$"):
+        generate_pair(spec)
+
+
 def test_sidecar_recovery_inverts_truth():
     truth = AffineParams(tx=6, ty=-3, theta=math.radians(4))
     side = sidecar_dict(FixtureSpec(size=128, truth=truth))

@@ -254,6 +254,9 @@ def test_metric_config_validation():
     for call in (joint_histogram, mi_between):
         with pytest.raises(ValueError, match=r"^histogram_bins must be an integer, got 20\.5$"):
             call(img, img, mask, bins=20.5)
+        # a bool is a numbers.Integral, and bins=True read "must be >= 2"
+        with pytest.raises(ValueError, match=r"^histogram_bins must be an integer, got True$"):
+            call(img, img, mask, bins=True)
 
 
 @pytest.mark.parametrize("value", [0.5, 117.0, 1e-3, -3.25, 1e6])

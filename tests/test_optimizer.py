@@ -3,6 +3,8 @@
 import csv
 import math
 import tracemalloc
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ def trans_only(monkeypatch):
 def test_zero_iterations_returns_start():
     best, trace = optimize(quadratic, AffineParams(), OptimizerConfig(max_iterations=0))
     assert best == AffineParams()
-    assert trace.records == []
+    assert trace.records == ()
     assert trace.termination_reason == "max_iterations"
     assert trace.best_value == quadratic(AffineParams())
 
@@ -138,7 +140,20 @@ def test_config_validation():
         OptimizerConfig(seed=-1).validate()
 
 
-def test_trace_csv(tmp_path, trans_only):
+def test_trace_is_one_table_with_read_only_records(trans_only):
+    _, trace = optimize(quadratic, AffineParams(), trans_only)
+    assert trace.table.dtype == np.float64
+    assert trace.table.shape == (trans_only.max_iterations, 9)
+    records = trace.records
+    assert isinstance(records, tuple) and records == trace.records
+    assert OptimizerTrace().records == ()
+    with pytest.raises(AttributeError):
+        records.append(records[0])  # a stray append fails instead of vanishing
+    with pytest.raises(AttributeError):
+        trace.records = []
+
+
+def test_trace_csv(tmp_path, trans_only, monkeypatch):
     _, trace = optimize(quadratic, AffineParams(), trans_only)
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
@@ -150,33 +165,48 @@ def test_trace_csv(tmp_path, trans_only):
         assert float(row["radius"]) == rec.radius
         assert float(row["tx"]) == rec.params.tx
         assert int(row["accepted"]) == int(rec.accepted)
+    # auto-rejected (nan) and lost (-inf) rows, every cell the repr of its record's
+    monkeypatch.setattr("wavereg.optimizer.PARAM_SCALES", (0.0, 0.0, 0.0, 3000.0, 3000.0, 0.0))
+
+    def lost_below_1(p, ahead=()):
+        return -math.inf if p.sx < 1 else -abs(p.sx - 2)
+
+    _, trace = optimize(lost_below_1, AffineParams(), OptimizerConfig(seed=7, max_iterations=100))
+    trace_to_csv(trace, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[str(rec.iteration), repr(rec.value), str(int(rec.accepted)), repr(rec.radius),
+                     *map(repr, astuple(rec.params))] for rec in trace.records]
+    assert {"nan", "-inf"} <= {row[1] for row in rows}
 
 
 def _reference_optimize(objective, p0, config):
     """The (1+1)-ES one candidate at a time, one ``standard_normal(6)`` draw
-    per iteration: the loop ``optimize`` plans ahead of."""
+    per iteration: the loop ``optimize`` plans ahead of. It keeps its own
+    list of ``IterationRecord``s, and returns (best_params, trace) with
+    what ``_trace_bytes`` reads of a trace."""
     rng = np.random.default_rng(config.seed)
     scales = np.asarray(wavereg.optimizer.PARAM_SCALES, dtype=np.float64)
     radius = INITIAL_RADIUS
-    trace = OptimizerTrace(best_value=float(objective(p0)), best_params=p0)
+    best_params, best_value, records = p0, float(objective(p0)), []
     for it in range(config.max_iterations):
         if radius < EPSILON:
             break
         step = radius * scales * rng.standard_normal(6)
-        candidate = AffineParams.from_vector(trace.best_params.as_vector() + step)
+        candidate = AffineParams.from_vector(best_params.as_vector() + step)
         value, accepted = math.nan, False
         if candidate.sx > 0 and candidate.sy > 0:
             value = float(objective(candidate))
-            accepted = math.isfinite(value) and value > trace.best_value
-        trace.records.append(IterationRecord(it, candidate, value, accepted, radius))
+            accepted = math.isfinite(value) and value > best_value
+        records.append(IterationRecord(it, candidate, value, accepted, radius))
         if accepted:
-            trace.best_value, trace.best_params = value, candidate
+            best_value, best_params = value, candidate
             radius *= GROWTH_FACTOR
         else:
             radius *= SHRINK_FACTOR
-    if radius < EPSILON:
-        trace.termination_reason = "radius_below_epsilon"
-    return trace.best_params, trace
+    reason = "radius_below_epsilon" if radius < EPSILON else "max_iterations"
+    return best_params, SimpleNamespace(best_value=best_value, termination_reason=reason,
+                                        records=records)
 
 
 class _LookAhead:

@@ -11,6 +11,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -337,6 +338,23 @@ def test_non_integer_settings_fail_fast(field, value, monkeypatch):
     cfg.validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("histogram_bins", True), ("pyramid_levels", True), ("max_iterations", False), ("seed", True),
+])
+def test_bool_settings_fail_fast(field, value, monkeypatch):
+    # a bool is a numbers.Integral: pyramid_levels=True ran one level,
+    # max_iterations=False none, seed=True ran as seed 1 and histogram_bins=True
+    # read "must be >= 2"
+    calls = []
+    monkeypatch.setattr("wavereg.pipeline.build_pyramid", lambda *a: calls.append(a))
+    cfg = _config("dwt_pyramid")
+    setattr(cfg.optimizer if hasattr(cfg.optimizer, field) else cfg, field, value)
+    fixed = _phantom()
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value}$"):
+        register(fixed, fixed, cfg)
+    assert calls == []
+
+
 def _rotated_invert_pair():
     fixed, moving, _ = generate_pair(
         FixtureSpec(size=64, truth=AffineParams(tx=3, ty=-2, theta=0.05),
@@ -549,6 +567,25 @@ def test_level_objective_is_freed_by_reference_counting():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_a_kept_result_holds_its_traces_as_tables():
+    """A 3-level 64² ``pyramid`` result holds its 1,500 iterations as three
+    (500, 9) float64 tables (108 KiB) beside its image and mask. With an
+    ``IterationRecord`` and an ``AffineParams`` per iteration it held about
+    707 KiB, and a caller that keeps its results keeps all of that."""
+    fixed, moving = _rotated_invert_pair()
+    tracemalloc.start()
+    try:
+        result = register(fixed, moving, _config("pyramid"))
+        gc.collect()  # so that only what the result holds is freed below
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 256 * 2**10
 
 
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
