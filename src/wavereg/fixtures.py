@@ -135,9 +135,7 @@ def generate_pair(spec: FixtureSpec):
         raise ValueError("fixture unusable: transform pushes over half the image out of bounds")
     if spec.noise_sigma > 0:
         rng = np.random.default_rng(spec.seed + 1)
-        moving = moving + rng.normal(
-            0.0, spec.noise_sigma * INTENSITY_RANGE, moving.shape
-        )
+        moving = moving + rng.normal(0.0, spec.noise_sigma * INTENSITY_RANGE, moving.shape)
         moving = np.clip(moving, 0.0, None)
     return fixed, moving, spec.truth
 

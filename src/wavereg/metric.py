@@ -40,12 +40,13 @@ class JointHistogram:
 _FLAT_TOL = 16 * np.finfo(np.float64).eps
 
 
-def _degenerate(fmin: float, fmax: float, mmin: float, mmax: float) -> bool:
-    """Whether either masked range is flat; ValueError if a bound is not finite."""
-    if not all(map(math.isfinite, (fmin, fmax, mmin, mmax))):
+def _degenerate(fmin, fmax, mmin, mmax):
+    """Whether either masked range is flat, element by element for arrays of
+    bounds; ValueError if a bound is not finite."""
+    if not np.isfinite([fmin, fmax, mmin, mmax]).all():
         raise ValueError("non-finite intensities in the overlap")
-    return (fmax - fmin <= _FLAT_TOL * max(-fmin, fmax)
-            or mmax - mmin <= _FLAT_TOL * max(-mmin, mmax))
+    return ((fmax - fmin <= _FLAT_TOL * np.maximum(-fmin, fmax))
+            | (mmax - mmin <= _FLAT_TOL * np.maximum(-mmin, mmax)))
 
 
 def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None, out=None) -> np.ndarray:
@@ -151,12 +152,7 @@ def mutual_information(hist: JointHistogram) -> float:
     return 0.0 if hist.degenerate else _mi_bits(hist.counts[None], hist.total)[0]
 
 
-def mi_between(
-    fixed: np.ndarray,
-    moving: np.ndarray,
-    mask: np.ndarray,
-    bins: int = 50,
-) -> float:
+def mi_between(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray, bins: int = 50) -> float:
     """Convenience: joint histogram then MI."""
     return mutual_information(joint_histogram(fixed, moving, mask, bins))
 

@@ -32,7 +32,7 @@ INITIAL_RADIUS = 1e-3
 # ~1.1 deg in rotation and 0.003 in scale/shear, which the search can still
 # grow or shrink multiplicatively.
 PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
-WINDOW = 8  # candidates planned ahead, for an objective that scores several per call
+WINDOW = 16  # candidates planned ahead, for an objective that scores several per call
 
 
 def _check_integers(**values) -> None:

@@ -72,16 +72,19 @@ class RegistrationResult:
     method: str
 
 
-def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
+def _check_inputs(fixed, moving) -> tuple[np.ndarray, np.ndarray]:
+    fixed, moving = np.asarray(fixed), np.asarray(moving)
     if fixed.ndim != 2 or moving.ndim != 2:
         raise ValueError("images must be 2-D")
     if fixed.shape != moving.shape:
         raise ValueError(
-            f"fixed and moving images differ in shape: {fixed.shape} vs {moving.shape}"
-        )
+            f"fixed and moving images differ in shape: {fixed.shape} vs {moving.shape}")
     if min(fixed.shape) < MIN_IMAGE_SIZE:
         raise ValueError(f"images must be at least {MIN_IMAGE_SIZE}x{MIN_IMAGE_SIZE}")
     for name, image in (("fixed", fixed), ("moving", moving)):
+        if image.dtype.kind not in "biuf":
+            raise ValueError(
+                f"{name} image must be real-valued (bool, integer or float), got {image.dtype}")
         if not np.isfinite(image).all():
             raise ValueError(f"{name} image has non-finite pixels (NaN or Inf)")
         lo, hi = float(image.min()), float(image.max())
@@ -89,6 +92,7 @@ def _check_inputs(fixed: np.ndarray, moving: np.ndarray) -> None:
             raise ValueError(f"{name} image range [{lo:.6g}, {hi:.6g}] overflows float64")
         if _degenerate(lo, hi, lo, hi):
             raise ValueError(f"{name} image is constant; it has no structure to register")
+    return fixed, moving
 
 
 # candidates keeping less than this fraction of a level in overlap are
@@ -128,14 +132,15 @@ class _LevelObjective:
     on a lost overlap. A call also scores ``ahead`` rows, as many candidates
     as hold 4 * ``_PASS`` (65,536) values (k * H * W each) up to ``WINDOW``,
     and answers a later call from them when its parameter vector matches one
-    byte for byte: 8 up to 64x64 or 4x32x32, 4 at 128x128 or 4x64x64, 1 from
-    256x256 or 4x128x128 on. A fixed plane's masked range is that of its
+    byte for byte: 16 up to 64x64 or 4x32x32, 4 at 128x128 or 4x64x64, 1
+    from 256x256 or 4x128x128 on. A fixed plane's masked range is that of its
     masked ``_ENDS`` lowest and highest pixels (no other is lower or higher),
     or of all its masked pixels where none of those is masked. A bin depends
     only on the value and the range, so a fixed plane is binned whole
     (clipped into the range) once per masked range and kept as cell offsets
     in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k`` (plane,
-    range) pairs, k the level's planes."""
+    range) pairs, k the level's planes, looked up once per run of
+    consecutive candidates that share a plane's range."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -170,7 +175,7 @@ class _LevelObjective:
     def _score(self, vectors: np.ndarray) -> list[float]:
         samples, masks = resample(self.moving, vectors)
         inside = masks.reshape(len(masks), -1)
-        counts = [np.count_nonzero(mask) for mask in inside]
+        counts = list(map(np.count_nonzero, inside))
         starts = [0, *itertools.accumulate(counts[:-1])]
         try:
             if min(counts) < MIN_OVERLAP_FRACTION * inside.shape[1]:
@@ -180,27 +185,28 @@ class _LevelObjective:
             for b in np.flatnonzero(np.isinf(ends).any((0, 1))) if np.isinf(ends).any() else ():
                 ends[:, :, b] = [f(self.fixed[:, inside[b]], 1) for f in (np.min, np.max)]
             bounds = [*ends, *(f.reduceat(samples, starts, 1) for f in (np.minimum, np.maximum))]
-            ranges = [b.tolist() for b in bounds]  # [plane][candidate]
-            flat = [[_degenerate(*pair) for pair in zip(*plane)] for plane in zip(*ranges)]
+            flat = _degenerate(*bounds)  # [plane, candidate]
         except ValueError:  # a lost overlap or a non-finite range: each alone
             return [-math.inf] if len(vectors) == 1 else [self._score(v[None])[0] for v in vectors]
-        if any(map(any, flat)):  # a flat pair's cells are never read: any range holding its values
+        if flat.any():  # a flat pair's cells are never read: any range holding its values
             bounds[1::2] = [np.where(flat, b + abs(b) + 1.0, b) for b in bounds[1::2]]
         cell = _bin_index(samples, *bounds[2:], self.bins, counts,
                           out=_buffer("cells", samples.shape, np.intp))
-        keys = zip(ranges[0], bounds[1].tolist())  # [plane]: (lows, highs)
         tables = _buffer("tables", (len(cell), *inside.shape), np.uint32)
-        np.concatenate([self.binned(plane, *key) for plane, row in enumerate(keys)
-                        for key in zip(*row)], out=tables.reshape(-1))
+        for plane, ranges in enumerate(zip(bounds[0].tolist(), bounds[1].tolist())):
+            done = 0
+            for key, run in itertools.groupby(zip(*ranges)):  # consecutive candidates, one range
+                n = len(list(run))
+                tables[plane, done:done + n] = self.binned(plane, *key)
+                done += n
         if len(counts) > 1:  # candidate j's cells from j * cells
             tables += np.arange(0, len(counts) * self.cells, self.cells, dtype=np.uint32)[:, None]
         cell += tables[np.broadcast_to(inside, tables.shape).copy()].reshape(cell.shape)
         hist = np.bincount(cell.ravel(), minlength=len(counts) * self.cells)
-        mis = iter(_mi_bits(hist.reshape(-1, self.bins, self.bins),
-                            np.repeat(counts, len(cell))[:, None, None]))
-        # a flat pair's 0 is left out: adding +0.0 never changes the sum
-        return [functools.reduce(float.__add__, (mi for f, mi in zip(row, mis) if not f), 0.0)
-                for row in zip(*flat)]
+        mis = np.reshape(_mi_bits(hist.reshape(-1, self.bins, self.bins),
+                                  np.repeat(counts, len(cell))[:, None, None]), (len(counts), -1))
+        # a flat pair adds +0.0, which never changes a sum from +0.0 of MIs
+        return np.add.reduce(np.where(flat, 0.0, mis.T), 0, initial=0.0).tolist()
 
 
 def register(
@@ -214,7 +220,7 @@ def register(
     coordinates: the sub-band methods double their half-resolution result.
     """
     config.validate()
-    _check_inputs(fixed, moving)
+    fixed, moving = _check_inputs(fixed, moving)
     haar = config.method != "pyramid"
     levels = 1 if config.method == "wavelet" else config.pyramid_levels
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, naming the image

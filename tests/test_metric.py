@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from wavereg.metric import (
+    _FLAT_TOL,
     JointHistogram,
     _bin_index,
+    _degenerate,
     correlation_coefficient,
     joint_histogram,
     mi_between,
@@ -332,3 +334,32 @@ def test_cc_clipped_to_unit_interval():
         b = rng.normal(size=(16, 16))
         r = correlation_coefficient(a, b, mask)
         assert -1.0 <= r <= 1.0
+
+
+def test_degenerate_of_arrays_is_the_scalar_rule_element_by_element():
+    """``_degenerate`` on arrays of bounds flags each element as the rule does
+    for Python floats: on signed zeros, ties, ranges exactly at ``_FLAT_TOL``
+    of their magnitude and just above it; a non-finite bound anywhere raises."""
+    def scalar_rule(fmin, fmax, mmin, mmax):
+        return (fmax - fmin <= _FLAT_TOL * max(-fmin, fmax)
+                or mmax - mmin <= _FLAT_TOL * max(-mmin, mmax))
+
+    at = 2.0 ** 40 * _FLAT_TOL  # a range of 2**40 exactly at the tolerance of 2**40
+    values = [-0.0, 0.0, 1.0, -1.0, 2.0 ** 40, 2.0 ** 40 - at, 2.0 ** 40 + at,
+              np.nextafter(2.0 ** 40 + at, np.inf), -(2.0 ** 40), 1e300, -1e300]
+    assert scalar_rule(2.0 ** 40 - at, 2.0 ** 40, 0.0, 1.0)
+    assert not scalar_rule(2.0 ** 40, np.nextafter(2.0 ** 40 + at, np.inf), 0.0, 1.0)
+    grid = np.array(np.meshgrid(values, values, values, values)).reshape(4, -1)
+    flat = _degenerate(*grid)
+    assert flat.shape == grid.shape[1:] and flat.dtype == bool
+    assert flat.tolist() == [scalar_rule(*bounds) for bounds in grid.T.tolist()]
+    assert flat.tolist() == [bool(_degenerate(*bounds)) for bounds in grid.T.tolist()]
+    assert flat.any() and not flat.all()
+    for position in range(4):
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = grid.reshape(4, 11, -1).copy()
+            broken[position, 3, 5] = bad
+            with pytest.raises(ValueError, match="non-finite intensities"):
+                _degenerate(*broken)
+            with pytest.raises(ValueError, match="non-finite intensities"):
+                _degenerate(*broken[:, 3, 5].tolist())

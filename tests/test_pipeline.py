@@ -38,7 +38,7 @@ from wavereg.pipeline import (
     _LevelObjective,
 )
 from wavereg.pyramid import build_pyramid
-from wavereg import transform
+from wavereg import optimizer, pipeline, transform
 from wavereg.transform import invert_params, scale_params_between_levels, warp
 from wavereg.wavelet import dwt2
 
@@ -183,6 +183,26 @@ def test_non_finite_pixels_rejected(method, bad):
         register(fixed, broken, _config(method))
     with pytest.raises(ValueError, match="fixed image has non-finite"):
         register(broken, fixed, _config(method))
+
+
+@pytest.mark.parametrize("which", ["fixed", "moving"])
+@pytest.mark.parametrize("dtype", ["complex128", "object"])
+def test_non_real_images_rejected(which, dtype):
+    # a complex image registered on its real part with only ComplexWarnings,
+    # and an object image failed in np.isfinite with a TypeError naming no input
+    image = _phantom()
+    pair = (image.astype(dtype), image) if which == "fixed" else (image, image.astype(dtype))
+    with pytest.raises(ValueError, match=rf"{which} image must be real-valued "
+                                         rf"\(bool, integer or float\), got {dtype}"):
+        register(*pair, _config("pyramid"))
+
+
+def test_nested_list_images_register_as_their_arrays():
+    # a list failed with AttributeError: 'list' object has no attribute 'ndim'
+    fixed, moving = _rotated_invert_pair()
+    config = RegistrationConfig(optimizer=OptimizerConfig(seed=9, max_iterations=40))
+    assert (_digest(register(fixed.tolist(), moving.tolist(), config))
+            == _digest(register(fixed, moving, config)))
 
 
 def test_lost_overlap_raises():
@@ -414,6 +434,36 @@ def test_golden_digest(method):
     assert h.hexdigest() == GOLDEN_DIGESTS[method]
 
 
+def _digest(result):
+    """SHA-256 of a result's params, registered image, mask and final MI."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(result.params.as_vector(), dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(result.registered, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(result.mask, dtype=bool).tobytes())
+    h.update(struct.pack("<d", result.final_mi_bits))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+def test_window_of_8_or_16_gives_the_same_result(method, monkeypatch):
+    """The look-ahead window sets only how many candidates a call scores:
+    with a window of 8 or of 16, the digest and every level's trace table
+    are the same bytes."""
+    fixed, moving = _rotated_invert_pair()
+    runs, score = [], _LevelObjective._score
+    for window in (8, 16):
+        passes = []
+        monkeypatch.setattr(optimizer, "WINDOW", window)
+        monkeypatch.setattr(pipeline, "WINDOW", window)
+        monkeypatch.setattr(_LevelObjective, "_score",
+                            lambda self, vectors: passes.append(len(vectors)) or score(self, vectors))
+        r = register(fixed, moving, RegistrationConfig(method=method,
+                                                       optimizer=OptimizerConfig(seed=9)))
+        assert max(passes) == window
+        runs.append((_digest(r), [t.table.tobytes() for t in r.traces]))
+    assert runs[0] == runs[1]
+
+
 def _summed_mi(fixed, moving, bins, p):
     """The level objective as plain public calls: one warp, then each plane
     pair's MI added in stack order from 0.0."""
@@ -504,6 +554,35 @@ def test_level_objective_equals_summed_mi_between():
         assert tables.currsize <= _MEMO_SIZE * len(fixed)
         evicted += tables.misses > _MEMO_SIZE * len(fixed)
     assert narrower > 0 and evicted > 0 and lost > 0 and mixed > 0
+
+
+def test_sixteen_candidates_a_call_equal_their_lone_evaluations():
+    """A call of 16 candidates on a 16x16 plane, and on a 4x8x8 stack with a
+    constant fixed plane (a flat pair for every candidate), gives each
+    candidate the bits of ``_summed_mi``, also where the masked fixed ranges
+    differ from candidate to candidate; a batch with a candidate pushed out
+    of overlap scores each candidate alone and gives the same bits."""
+    fixed, moving = _rotated_invert_pair()
+    plane = [build_pyramid(image[None], 3)[2] for image in (fixed, moving)]
+    stack = [build_pyramid(dwt2(image), 3)[2] for image in (fixed, moving)]
+    stack[0][2] = 7.0
+    rng, ranges = np.random.default_rng(5), set()
+    for f, m in (plane, stack):
+        objective = _LevelObjective(f, m, 50)
+        assert objective.batch == 16 and m.shape[-1] in (8, 16)
+        size = m.shape[-1]
+        candidates = [AffineParams(
+            tx=rng.normal() * size / 16, ty=rng.normal() * size / 16, theta=rng.normal() * 0.05,
+            sx=rng.uniform(0.95, 1.05), sy=rng.uniform(0.95, 1.05)) for _ in range(16)]
+        candidates.append(AffineParams(tx=0.6 * size))  # keeps less than half the level
+        expected = [_summed_mi(f, m, objective.bins, p).hex() for p in candidates]
+        assert expected[-1] == (-math.inf).hex() and (-math.inf).hex() not in expected[:-1]
+        ranges |= {(len(f), f[0][mask].min(), f[0][mask].max())
+                   for mask in (warp(m, p)[1] for p in candidates[:-1])}
+        for batch in (slice(0, 16), slice(1, 17)):
+            values = objective._score(np.array([p.as_vector() for p in candidates[batch]]))
+            assert [v.hex() for v in values] == expected[batch]
+    assert len(ranges) > 2
 
 
 def _end_levels():
@@ -608,12 +687,12 @@ def test_one_objective_call_per_evaluated_record(method, monkeypatch):
 
 
 @pytest.mark.parametrize("shape, scored", [
-    ((1, 32, 32), 8), ((1, 64, 64), 8), ((4, 32, 32), 8), ((1, 128, 128), 4), ((4, 64, 64), 4),
+    ((1, 32, 32), 16), ((1, 64, 64), 16), ((4, 32, 32), 16), ((1, 128, 128), 4), ((4, 64, 64), 4),
     ((1, 256, 256), 1), ((4, 128, 128), 1),
 ], ids=["32x32", "64x64", "4x32x32", "128x128", "4x64x64", "256x256", "4x128x128"])
 def test_look_ahead_batch_holds_at_most_65536_values(shape, scored, monkeypatch):
     """Offered the optimizer's whole window, a call scores as many candidates
-    as hold 65,536 values together, at most the window: 8 up to 64x64 or
+    as hold 65,536 values together, at most the window: 16 up to 64x64 or
     4x32x32, 4 at 128x128 or 4x64x64, one from 256x256 or 4x128x128 on."""
     passes = []
     score = _LevelObjective._score
@@ -631,8 +710,8 @@ def test_batch_of_every_workload_level_is_what_a_call_scores():
     256x256 images, three levels of the image or of its sub-bands) it is the
     look-ahead table's value, never more than ``WINDOW`` (16x16 and 4x8x8
     levels said 64)."""
-    expected = {(1, 16, 16): 8, (1, 32, 32): 8, (1, 64, 64): 8, (1, 128, 128): 4,
-                (1, 256, 256): 1, (4, 8, 8): 8, (4, 16, 16): 8, (4, 32, 32): 8,
+    expected = {(1, 16, 16): 16, (1, 32, 32): 16, (1, 64, 64): 16, (1, 128, 128): 4,
+                (1, 256, 256): 1, (4, 8, 8): 16, (4, 16, 16): 16, (4, 32, 32): 16,
                 (4, 64, 64): 4, (4, 128, 128): 1}
     levels = {level.shape for size in (64, 128, 256) for planes in (np.ones((1, size, size)),
               dwt2(np.ones((size, size)))) for level in build_pyramid(planes, 3)}
@@ -669,7 +748,7 @@ def test_look_ahead_batches_keep_bounded_memory():
 
 # a fresh interpreter scoring a pair's four sub-bands (or the pair itself,
 # argument "plane") at the given size, as many look-ahead candidates per pass
-# as the level's batch (8 at 64x64, 4 at 128x128); prints the minor page
+# as the level's batch (16 at 64x64, 4 at 128x128); prints the minor page
 # faults of 200 passes
 _FAULT_CHECK = """
 import resource, sys
@@ -708,7 +787,7 @@ def test_look_ahead_level_does_not_page_fault():
     are 512 KiB and their histograms 128 KiB; allocated afresh, the stack's
     took about 20,000 faults in this check."""
     src = str(Path(wavereg.__file__).resolve().parents[1])
-    for planes, size, batch in (("sub-bands", "64", "8"), ("plane", "64", "8"),
+    for planes, size, batch in (("sub-bands", "64", "16"), ("plane", "64", "16"),
                                 ("plane", "128", "4"), ("sub-bands", "128", "4")):
         out = subprocess.run([sys.executable, "-c", _FAULT_CHECK, src, planes, size, batch],
                              check=True, capture_output=True, text=True, timeout=120)
