@@ -279,8 +279,7 @@ def _cmd_diff(args) -> int:
     fixed = load_pgm(args.fixed)
     registered = load_pgm(args.registered)
     mask = load_pgm(args.mask) > 0
-    rgb = overlay_diff(fixed, registered, mask)
-    save_ppm(rgb, args.out)
+    save_ppm(overlay_diff(fixed, registered, mask), args.out)
     return 0
 
 

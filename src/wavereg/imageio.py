@@ -65,17 +65,21 @@ def load_pgm(path) -> np.ndarray:
     return pixels.reshape(height, width).astype(np.float64)
 
 
+def _save_pnm(magic: str, data: np.ndarray, path) -> None:
+    """Write an (H, W) or (H, W, 3) uint8 array after its P5 or P6 header."""
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{data.shape[1]} {data.shape[0]}\n255\n".encode() + data.tobytes())
+
+
 def save_pgm(image: np.ndarray, path) -> None:
     """Write an 8-bit binary PGM (P5); intensities are rounded half-up and
     clamped into [0, 255]. Non-finite pixels raise ``ValueError``."""
     image = np.atleast_2d(np.asarray(image, dtype=np.float64))
+    if image.ndim != 2:
+        raise ValueError(f"expected (H, W) array, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise ValueError("image has non-finite pixels (NaN or Inf)")
-    height, width = image.shape
-    samples = np.clip(np.floor(image + 0.5), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode())
-        fh.write(samples.tobytes())
+    _save_pnm("P5", np.clip(np.floor(image + 0.5), 0, 255).astype(np.uint8), path)
 
 
 def save_ppm(rgb: np.ndarray, path) -> None:
@@ -83,10 +87,7 @@ def save_ppm(rgb: np.ndarray, path) -> None:
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"expected (H, W, 3) array, got shape {rgb.shape}")
-    height, width = rgb.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode())
-        fh.write(rgb.astype(np.uint8).tobytes())
+    _save_pnm("P6", rgb.astype(np.uint8), path)
 
 
 def save_json(data, path) -> None:

@@ -117,7 +117,7 @@ def _coarse_to_fine(objectives, config: RegistrationConfig):
         params, trace = optimize(objective, params, seeded)
         traces.append(trace)
         if level > 0:
-            params = scale_params_between_levels(params, 2.0)
+            params = scale_params_between_levels(params)
     return params, traces
 
 
@@ -234,7 +234,7 @@ def register(
     registered = idwt2(warped, fixed.shape) if haar else warped[0]
     if haar:  # the sub-band mask upsampled 2x (nearest neighbor) and cropped
         mask = np.kron(mask, np.ones((2, 2), dtype=bool))[:fixed.shape[0], :fixed.shape[1]]
-        params = scale_params_between_levels(params, 2.0)
+        params = scale_params_between_levels(params)
     final_mi = mi_between(fixed, registered, mask, config.histogram_bins)
     cc = correlation_coefficient(registered, fixed, mask)
     return RegistrationResult(

@@ -102,12 +102,9 @@ def invert_params(params: AffineParams) -> AffineParams:
     return AffineParams(tx=float(t[0]), ty=float(t[1]), theta=theta, sx=sx, sy=sy, k=k)
 
 
-def scale_params_between_levels(params: AffineParams, factor: float) -> AffineParams:
-    """Rescale the translation for a resolution change; other terms are
-    resolution independent."""
-    if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor}")
-    return replace(params, tx=params.tx * factor, ty=params.ty * factor)
+def scale_params_between_levels(params: AffineParams) -> AffineParams:
+    """The parameters one level finer: twice the translation, the rest unchanged."""
+    return replace(params, tx=params.tx * 2.0, ty=params.ty * 2.0)
 
 
 # values (k planes x pixels) per ``resample`` pass, a quarter of a look-ahead
@@ -144,8 +141,8 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     in SciPy's order, as SciPy sums them, which turns a -0.0 total into
     +0.0. On the last column or row the second corner lies outside the
     plane, where its weight is exactly 0: its index reads the next row's
-    first pixel, or is clipped to the last pixel. That is why the planes
-    must be finite: 0 * NaN is NaN, where SciPy adds 0.
+    first pixel, or is clipped to the last pixel. So the planes must be
+    finite (0 * NaN is NaN, where SciPy adds 0), which ``warp`` checks.
     """
     moving = np.asarray(moving, dtype=np.float64)
     height, width = moving.shape[-2:]
@@ -211,13 +208,15 @@ def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
     about the image center.
 
     ``moving`` is one (H, W) plane or a (k, H, W) stack of planes that
-    share a grid. Returns the warped plane or stack, in the input's shape,
-    and one (H, W) validity mask that is set only where the source
-    coordinate lies fully inside the bilinear support; everywhere else the
-    output is 0. Each plane equals its own 2-D ``warp`` bit for bit, and
-    ``scipy.ndimage.map_coordinates(order=1, mode="constant")`` byte for
-    byte: it is ``resample``'s samples, scattered into zeros.
+    share a grid, all finite. Returns the warped plane or stack, in the
+    input's shape, and one (H, W) validity mask that is set only where the
+    source coordinate lies fully inside the bilinear support; everywhere
+    else the output is 0. Each plane equals its own 2-D ``warp`` bit for
+    bit, and ``scipy.ndimage.map_coordinates(order=1, mode="constant")``
+    byte for byte: it is ``resample``'s samples, scattered into zeros.
     """
+    if not np.isfinite(np.asarray(moving, dtype=np.float64)).all():
+        raise ValueError("moving image has non-finite pixels (NaN or Inf)")
     samples, (mask,) = resample(moving, params.as_vector())
     out = np.zeros((len(samples), mask.size))
     out[:, mask.ravel()] = samples

@@ -101,6 +101,12 @@ def test_save_rejects_non_finite(tmp_path, bad):
     assert not (tmp_path / "x.pgm").exists()
 
 
+def test_save_pgm_rejects_a_stack(tmp_path):
+    with pytest.raises(ValueError, match=re.escape("expected (H, W) array, got shape (2, 3, 3)")):
+        save_pgm(np.zeros((2, 3, 3)), tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_pgm_roundtrip_integer_image(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, (13, 9)).astype(np.float64)
@@ -114,13 +120,12 @@ def test_pgm_roundtrip_integer_image(tmp_path):
 
 
 def test_save_ppm(tmp_path):
-    rgb = np.zeros((2, 2, 3), dtype=np.uint8)
-    rgb[0, 0] = (255, 0, 255)
+    # 2 rows of 3 pixels: the header gives the width first, the samples run
+    # row by row with each pixel's red, green and blue together
+    rgb = np.arange(18, dtype=np.uint8).reshape(2, 3, 3)
     path = tmp_path / "o.ppm"
     save_ppm(rgb, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P6\n2 2\n255\n")
-    assert data[-12:] == bytes([255, 0, 255]) + bytes(9)
+    assert path.read_bytes() == b"P6\n3 2\n255\n" + bytes(range(18))
 
 
 def test_remap_invert():

@@ -39,7 +39,7 @@ from wavereg.pipeline import (
 )
 from wavereg.pyramid import build_pyramid
 from wavereg import optimizer, pipeline, transform
-from wavereg.transform import invert_params, scale_params_between_levels, warp
+from wavereg.transform import invert_params, warp
 from wavereg.wavelet import dwt2
 
 
@@ -114,7 +114,7 @@ def test_wavelet_reconstruction_error_bounded(monkeypatch):
     )
     recovery = invert_params(truth)
     monkeypatch.setattr("wavereg.pipeline._coarse_to_fine", lambda objectives, config: (
-        scale_params_between_levels(recovery, 0.5), [OptimizerTrace()]))
+        replace(recovery, tx=recovery.tx * 0.5, ty=recovery.ty * 0.5), [OptimizerTrace()]))
     r = register(moving, moving, _config("wavelet"))
     assert r.params == recovery
     registered, mask = r.registered, r.mask

@@ -104,11 +104,10 @@ def test_invert_params_singular_linear_part():
 
 def test_scale_params_between_levels():
     p = AffineParams(tx=1.5, ty=-2, theta=0.3, sx=1.1, sy=0.9, k=0.05)
-    q = scale_params_between_levels(p, 2.0)
+    q = scale_params_between_levels(p)
     assert (q.tx, q.ty) == (3.0, -4.0)
     assert (q.theta, q.sx, q.sy, q.k) == (p.theta, p.sx, p.sy, p.k)
-    assert scale_params_between_levels(q, 0.5) == p
-    assert scale_params_between_levels(AffineParams(), 2.0) == AffineParams()
+    assert scale_params_between_levels(AffineParams()) == AffineParams()
 
 
 def test_image_center():
@@ -268,6 +267,18 @@ def test_warp_bytes_equal_map_coordinates():
             assert got.tobytes() == ref.tobytes()
             assert np.array_equal(mask, ref_mask)
     assert resampled > 400_000 and empty >= 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(40, 40), (4, 20, 20)])
+def test_warp_rejects_non_finite_planes(bad, shape):
+    # resample reads a last-column pixel's second corner, of weight 0, from
+    # the next row's first pixel, so one NaN at (11, 0) made (10, 39) NaN
+    # under ty=-0.3 where map_coordinates gives a finite value
+    planes = np.random.default_rng(5).random(shape)
+    planes[..., 11, 0] = bad
+    with pytest.raises(ValueError, match="moving image has non-finite pixels"):
+        warp(planes, AffineParams(ty=-0.3))
 
 
 def test_resample_gives_the_masked_samples_of_warp():
