@@ -88,8 +88,8 @@ def _check_inputs(fixed, moving) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(image).all():
             raise ValueError(f"{name} image has non-finite pixels (NaN or Inf)")
         lo, hi = float(image.min()), float(image.max())
-        if math.isinf(hi - lo):
-            raise ValueError(f"{name} image range [{lo:.6g}, {hi:.6g}] overflows float64")
+        if max(-lo, hi) > 2.0 ** 1020:  # 16x below float64's largest: no later sum overflows
+            raise ValueError(f"{name} image range [{lo:.6g}, {hi:.6g}] overflows float64 sums")
         if _degenerate(lo, hi, lo, hi):
             raise ValueError(f"{name} image is constant; it has no structure to register")
     return fixed, moving
@@ -177,17 +177,14 @@ class _LevelObjective:
         inside = masks.reshape(len(masks), -1)
         counts = list(map(np.count_nonzero, inside))
         starts = [0, *itertools.accumulate(counts[:-1])]
-        try:
-            if min(counts) < MIN_OVERLAP_FRACTION * inside.shape[1]:
-                raise ValueError("lost overlap")
-            # the range of the masked end pixels; of all masked ones where none is (inf)
-            ends = (np.where(inside[:, self.ends], self.end_values, np.inf).min(3) * [1, -1]).T
-            for b in np.flatnonzero(np.isinf(ends).any((0, 1))) if np.isinf(ends).any() else ():
-                ends[:, :, b] = [f(self.fixed[:, inside[b]], 1) for f in (np.min, np.max)]
-            bounds = [*ends, *(f.reduceat(samples, starts, 1) for f in (np.minimum, np.maximum))]
-            flat = _degenerate(*bounds)  # [plane, candidate]
-        except ValueError:  # a lost overlap or a non-finite range: each alone
+        if min(counts) < MIN_OVERLAP_FRACTION * inside.shape[1]:  # a lost overlap: each alone
             return [-math.inf] if len(vectors) == 1 else [self._score(v[None])[0] for v in vectors]
+        # the range of the masked end pixels; of all masked ones where none is (inf)
+        ends = (np.where(inside[:, self.ends], self.end_values, np.inf).min(3) * [1, -1]).T
+        for b in np.flatnonzero(np.isinf(ends).any((0, 1))) if np.isinf(ends).any() else ():
+            ends[:, :, b] = [f(self.fixed[:, inside[b]], 1) for f in (np.min, np.max)]
+        bounds = [*ends, *(f.reduceat(samples, starts, 1) for f in (np.minimum, np.maximum))]
+        flat = _degenerate(*bounds)  # [plane, candidate]
         if flat.any():  # a flat pair's cells are never read: any range holding its values
             bounds[1::2] = [np.where(flat, b + abs(b) + 1.0, b) for b in bounds[1::2]]
         cell = _bin_index(samples, *bounds[2:], self.bins, counts,
@@ -223,11 +220,7 @@ def register(
     fixed, moving = _check_inputs(fixed, moving)
     haar = config.method != "pyramid"
     levels = 1 if config.method == "wavelet" else config.pyramid_levels
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below, naming the image
-        pyramids = [build_pyramid(dwt2(x) if haar else x[None], levels) for x in (fixed, moving)]
-    for name, pyramid in zip(("fixed", "moving"), pyramids):
-        if not all(np.isfinite(level).all() for level in pyramid):
-            raise ValueError(f"{name} image values overflow float64 in its pyramid")
+    pyramids = [build_pyramid(dwt2(x) if haar else x[None], levels) for x in (fixed, moving)]
     objectives = [_LevelObjective(f, m, config.histogram_bins) for f, m in zip(*pyramids)]
     params, traces = _coarse_to_fine(objectives, config)
     warped, mask = warp(pyramids[1][0], params)  # the finest moving level, for every method

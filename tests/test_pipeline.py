@@ -271,31 +271,65 @@ def test_near_constant_image_rejected(method, which):
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
 @pytest.mark.parametrize("which", ["fixed", "moving"])
 def test_overflowing_range_rejected(method, which):
-    # finite pixels whose max - min is inf used to end in "lost overlap"
+    # finite pixels whose max - min is inf, and a finite range whose pyramid
+    # or Haar pair sums overflow, used to end in "lost overlap"; one pixel
+    # one ulp past +-2**1020 is refused as well
     image = _phantom()
-    huge = np.random.default_rng(0).uniform(-1, 1, image.shape) * 1.7e308
-    pair = (huge, image) if which == "fixed" else (image, huge)
-    with pytest.raises(ValueError, match=f"{which} image range .* overflows float64"):
-        register(*pair, _config(method))
+    past = np.ldexp(image / 255.0, 1020)
+    past[5, 7] = np.nextafter(2.0 ** 1020, np.inf)
+    for huge in (np.random.default_rng(0).uniform(-1, 1, image.shape) * 1.7e308,
+                 np.random.default_rng(0).uniform(0.9, 1.7, image.shape) * 1e308, past, -past):
+        pair = (huge, image) if which == "fixed" else (image, huge)
+        with pytest.raises(ValueError, match=f"{which} image range .* overflows float64"):
+            register(*pair, _config(method))
 
 
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("levels", [1, 3])
 @pytest.mark.parametrize("which", ["fixed", "moving"])
-def test_overflowing_pyramid_rejected(method, which):
-    # a finite range whose pyramid or Haar pair sums overflow used to end in
-    # "lost overlap": every level's objective was -inf at the identity
-    image = _phantom()
-    huge = np.random.default_rng(0).uniform(0.9, 1.7, image.shape) * 1e308
-    pair = (huge, image) if which == "fixed" else (image, huge)
-    with pytest.raises(ValueError, match=f"{which} image values overflow float64 in its pyramid"):
-        register(*pair, _config(method))
+def test_pixels_near_float64_max_rejected(method, levels, which):
+    # 0 / finfo.max pixels and a 2 px shift: a one-level pyramid run scored
+    # most candidates -inf (their bilinear sums overflowed) and returned
+    # params far from the truth; other runs blamed an overflowing pyramid
+    phantom = _phantom()
+    top = np.finfo(np.float64).max
+    huge = np.where(phantom > np.median(phantom), top, 0.0)
+    huge[:8] = 0.3 * top
+    pair = (huge, np.roll(huge, 2, 1)) if which == "fixed" else (phantom, np.roll(huge, 2, 1))
+    with pytest.raises(ValueError, match=f"{which} image range .* overflows float64"):
+        register(*pair, _config(method, pyramid_levels=levels))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+@pytest.mark.parametrize("levels", [1, 3])
+def test_pixels_at_the_bound_register_as_at_unit_scale(method, levels):
+    """Pixels up to exactly +-2**1020 keep every sum finite (Haar bands
+    <= 2**1021, pyramid pair sums <= 2**1022, bilinear sums <= 2**1021 (1 +
+    eps), inverse-DWT sums <= 2**1023), and a power-of-two scale moves no
+    bin, so the run is the unit-scale run scaled: no check inside needed."""
+    phantom = [x / np.abs(x).max() for x in _rotated_invert_pair()]  # 1 reached
+    checker = [2 * (x - x.min()) / (x.max() - x.min()) - 1 for x in generate_pair(FixtureSpec(
+        base_pattern="checker", size=64, truth=AffineParams(tx=2, ty=-1), seed=3))[:2]]
+    assert checker[0].min() == -1.0 and checker[0].max() == 1.0
+    config = RegistrationConfig(method=method, pyramid_levels=levels,
+                                optimizer=OptimizerConfig(seed=4, max_iterations=60))
+    for fixed, moving in (phantom, checker):
+        assert np.abs(fixed).max() == np.abs(moving).max() == 1.0
+        unit = register(fixed, moving, config)
+        huge = register(np.ldexp(fixed, 1020), np.ldexp(moving, 1020), config)
+        assert np.isfinite(huge.registered).all()
+        assert math.isfinite(huge.final_mi_bits) and math.isfinite(huge.cc)
+        assert huge.params == unit.params
+        assert np.array_equal(huge.registered, np.ldexp(unit.registered, 1020))
+        assert (huge.final_mi_bits, huge.cc) == (unit.final_mi_bits, unit.cc)
 
 
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
 @pytest.mark.parametrize("bins", [1, 0])
 def test_bad_histogram_bins_fails_fast(method, bins):
-    # the objective turns a ValueError into -inf, so only a check before
-    # the optimization can name the cause instead of "lost overlap"
+    # checked before the optimization, so the message names the cause
+    # instead of a failure somewhere inside a level's objective
     fixed = _phantom()
     cfg = _config(method)
     cfg.histogram_bins = bins
@@ -472,17 +506,14 @@ def _summed_mi(fixed, moving, bins, p):
         return -math.inf
     total = 0.0
     for f, w in zip(fixed, warped):
-        try:
-            total += mi_between(f, w, mask, bins)
-        except ValueError:
-            return -math.inf
+        total += mi_between(f, w, mask, bins)
     return total
 
 
 def _objective_levels():
     """(name, fixed stack, moving stack) for every pyramid level of the
     image and of its four sub-bands, on two pairs and an odd crop, plus
-    stacks with a flat plane and one with a non-finite fixed pixel."""
+    stacks with flat planes."""
     phantom = _rotated_invert_pair()
     noise = generate_pair(FixtureSpec(
         base_pattern="noise_smoothed", size=64, remap="gamma", noise_sigma=0.01,
@@ -501,9 +532,6 @@ def _objective_levels():
     flat_moving[0] = -3.0
     yield "flat-moving-band", f, flat_moving
     yield "all-flat", np.ones_like(f), m
-    broken = f.copy()
-    broken[1, 5, 5] = np.inf
-    yield "non-finite-fixed", broken, m
     # flat over the overlap of some transforms only: a shift of tx = -11
     # keeps fixed columns from 11 on and moving columns up to 21
     part_fixed, part_moving = f.copy(), m.copy()
@@ -516,9 +544,8 @@ def test_level_objective_equals_summed_mi_between():
     """The per-level objective gives the bits of ``_summed_mi`` at random
     transforms, including lost overlaps, masked fixed ranges narrower than
     the plane's and more (plane, range) tables than the level's cache
-    keeps. Scored in batches of up to 8, mixing lost overlaps, flat pairs
-    and non-finite ranges, each candidate gets the bits of its lone
-    evaluation."""
+    keeps. Scored in batches of up to 8, mixing lost overlaps and flat
+    pairs, each candidate gets the bits of its lone evaluation."""
     rng = np.random.default_rng(99)
     narrower = evicted = lost = mixed = 0
     for name, fixed, moving in _objective_levels():
@@ -554,6 +581,15 @@ def test_level_objective_equals_summed_mi_between():
         assert tables.currsize <= _MEMO_SIZE * len(fixed)
         evicted += tables.misses > _MEMO_SIZE * len(fixed)
     assert narrower > 0 and evicted > 0 and lost > 0 and mixed > 0
+
+
+def test_level_objective_raises_on_a_non_finite_fixed_plane():
+    # it scored -inf; register cannot build such a level, as it refuses
+    # pixels beyond +-2**1020, under which no band or pyramid sum overflows
+    fixed, moving = (dwt2(x) for x in _rotated_invert_pair())
+    fixed[1, 5, 5] = np.inf
+    with pytest.raises(ValueError, match="^non-finite intensities in the overlap$"):
+        _LevelObjective(fixed, moving, 50)(AffineParams())
 
 
 def test_sixteen_candidates_a_call_equal_their_lone_evaluations():
