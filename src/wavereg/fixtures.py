@@ -60,6 +60,8 @@ class FixtureSpec:
         _check_integers(size=self.size, seed=self.seed)
         if self.size < 64:
             raise ValueError(f"size must be >= 64, got {self.size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise_sigma < math.inf:  # also rejects NaN
             raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         # a NaN gamma would reach truth.json as the non-JSON token NaN

@@ -80,12 +80,12 @@ class OptimizerTrace:
 def optimize(objective, p0: AffineParams, config: OptimizerConfig):
     """Maximize ``objective`` from ``p0``; returns (best_params, trace).
 
-    Candidates with non-positive scales are rejected without evaluation;
-    each other one is a call ``objective(candidate, ahead=rows)``, ``rows``
-    the (n, 6) ``as_vector``s next in line if all fail, to score now or ignore.
+    A candidate is a read-only (6,) ``as_vector`` row. One with a non-positive
+    scale is rejected unevaluated; each other ``row`` is a call ``objective(row,
+    ahead=rows)``, ``rows`` the (n, 6) next in line if all fail, to score or ignore.
     """
     config.validate()
-    f0 = float(objective(p0))
+    f0 = float(objective(p0.as_vector()))
     if not math.isfinite(f0):
         raise ValueError("invalid start: objective is not finite at p0")
     rng = np.random.default_rng(config.seed)
@@ -102,17 +102,18 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
             deviates = np.concatenate((deviates, rng.standard_normal((WINDOW - len(deviates), 6))))
             steps = np.outer(radii, PARAM_SCALES) * deviates[:len(radii)]
             plan = trace.best_params.as_vector() + steps
-            ahead = plan[~(plan[:, 3:5] <= 0).any(1)]  # the ones it will evaluate
-        candidate = AffineParams.from_vector(plan[0])
+            plan.flags.writeable = False
+            kept = ~(plan[:, 3:5] <= 0).any(1)  # the rows it will evaluate: a NaN scale is scored
+            ahead, scored = plan[kept], iter(kept.tolist())
         f_cand, accepted = math.nan, False
-        if not (candidate.sx <= 0 or candidate.sy <= 0):  # ahead's rule: a NaN scale is scored
+        if next(scored):
             ahead = ahead[1:]  # ahead[0] was this candidate
-            f_cand = float(objective(candidate, ahead=ahead))
+            f_cand = float(objective(plan[0], ahead=ahead))
             accepted = math.isfinite(f_cand) and f_cand > trace.best_value
         table.append((f_cand, accepted, radius, *plan[0].tolist()))
-        plan, deviates = plan[1:] if not accepted else plan[:0], deviates[1:]
         if accepted:
-            trace.best_value, trace.best_params = f_cand, candidate
+            trace.best_value, trace.best_params = f_cand, AffineParams(*plan[0].tolist())
+        plan, deviates = plan[1:] if not accepted else plan[:0], deviates[1:]
         radius *= GROWTH_FACTOR if accepted else SHRINK_FACTOR
     trace.table = np.array(table, dtype=np.float64).reshape(-1, 9)
     if radius < EPSILON:

@@ -111,7 +111,7 @@ def _coarse_to_fine(objectives, config: RegistrationConfig):
     traces: list[OptimizerTrace] = []
     for level in range(len(objectives) - 1, -1, -1):
         objective = objectives[level]
-        if not math.isfinite(objective(params)):
+        if not math.isfinite(objective(params.as_vector())):
             raise RegistrationError("registration lost overlap")
         seeded = replace(config.optimizer, seed=config.optimizer.seed + level)
         params, trace = optimize(objective, params, seeded)
@@ -127,19 +127,19 @@ _ENDS = 32  # lowest and highest pixels kept per fixed plane
 
 
 class _LevelObjective:
-    """One level's objective, bit for bit the sum of ``mi_between`` over the
-    plane pairs of ``fixed`` and ``warp(moving, p)`` in stack order, or -inf
-    on a lost overlap. A call also scores ``ahead`` rows, as many candidates
-    as hold 4 * ``_PASS`` (65,536) values (k * H * W each) up to ``WINDOW``,
-    and answers a later call from them when its parameter vector matches one
-    byte for byte: 16 up to 64x64 or 4x32x32, 4 at 128x128 or 4x64x64, 1
-    from 256x256 or 4x128x128 on. A fixed plane's masked range is that of its
-    masked ``_ENDS`` lowest and highest pixels (no other is lower or higher),
-    or of all its masked pixels where none of those is masked. A bin depends
-    only on the value and the range, so a fixed plane is binned whole
-    (clipped into the range) once per masked range and kept as cell offsets
-    in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k`` (plane,
-    range) pairs, k the level's planes, looked up once per run of
+    """One level's objective of a (6,) ``AffineParams.as_vector`` row, bit for bit
+    the sum of ``mi_between`` over the plane pairs of ``fixed`` and
+    ``warp(moving, AffineParams(*row))`` in stack order, or -inf on a lost
+    overlap. A call also scores ``ahead`` rows, as many candidates as hold 4 *
+    ``_PASS`` (65,536) values (k * H * W each) up to ``WINDOW``, and answers a
+    later call from them when its row matches one byte for byte: 16 up to 64x64
+    or 4x32x32, 4 at 128x128 or 4x64x64, 1 from 256x256 or 4x128x128 on. A fixed
+    plane's masked range is that of its masked ``_ENDS`` lowest and highest
+    pixels (no other is lower or higher), or of all its masked pixels where none
+    of those is masked. A bin depends only on the value and the range, so a fixed
+    plane is binned whole (clipped into the range) once per masked range and kept
+    as cell offsets in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k``
+    (plane, range) pairs, k the level's planes, looked up once per run of
     consecutive candidates that share a plane's range."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
@@ -163,14 +163,13 @@ class _LevelObjective:
                 ends.append(np.concatenate((beyond, tied[spread])))  # ties spread over the plane
         self.ends = np.reshape(ends, (len(fixed), 2, n))
         self.end_values = self.fixed[np.arange(len(fixed))[:, None, None], self.ends] * [[1], [-1]]
-        self.kept = {}  # parameter vector bytes -> value, of the last pass
+        self.kept = {}  # row bytes -> value, of the last pass
 
-    def __call__(self, p: AffineParams, ahead=()) -> float:
-        vector = p.as_vector()
-        if vector.tobytes() not in self.kept:
-            vectors = np.concatenate(([vector], np.reshape(ahead, (-1, 6))[:self.batch - 1]))
+    def __call__(self, row: np.ndarray, ahead=()) -> float:
+        if row.tobytes() not in self.kept:
+            vectors = np.concatenate(([row], np.reshape(ahead, (-1, 6))[:self.batch - 1]))
             self.kept = dict(zip(map(np.ndarray.tobytes, vectors), self._score(vectors)))
-        return self.kept[vector.tobytes()]
+        return self.kept[row.tobytes()]
 
     def _score(self, vectors: np.ndarray) -> list[float]:
         samples, masks = resample(self.moving, vectors)

@@ -79,6 +79,8 @@ def build_pyramid(image: np.ndarray, num_levels: int) -> list[np.ndarray]:
     if num_levels < 1:
         raise ValueError(f"num_levels must be >= 1, got {num_levels}")
     levels = [np.asarray(image, dtype=np.float64)]
+    if levels[0].ndim not in (2, 3):
+        raise ValueError(f"expected (H, W) or (k, H, W) array, got shape {levels[0].shape}")
     for _ in range(num_levels - 1):
         h, w = levels[-1].shape[-2:]
         if min(-(-h // 2), -(-w // 2)) < MIN_LEVEL_SIZE:

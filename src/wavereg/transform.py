@@ -5,12 +5,12 @@ Parameter conventions (reported, not internally flipped):
   - theta is measured counterclockwise from the x-axis;
   - k is the shear factor along x; sx, sy are positive scales.
 
-The linear part A chains Rotation * Skew * Scaling. ``center_adjusted``
-applies it about a center pixel c and adds the translation t, so
-H @ v == A @ (v - c) + c + t. ``warp`` treats that matrix, about the
-image center, as the map from output (fixed-grid) coordinates to source
-coordinates in the moving image and resamples bilinearly, which makes the
-sign conventions above hold for the rendered image.
+The linear part A chains Rotation * Skew * Scaling. Applied about a center
+pixel c with the translation t it is the 3x3 H, H @ v == A @ (v - c) + c + t,
+whose top two rows [A | c + t - A @ c] ``_center_adjusted`` returns. ``warp``
+treats that map, about the image center, as the map from output (fixed-grid)
+coordinates to source coordinates in the moving image and resamples
+bilinearly, which makes the sign conventions above hold for the rendered image.
 
 ``resample`` is a NumPy gather kernel for a stack of candidate transforms.
 It finds each masked pixel's four source corners and weights once for all
@@ -45,11 +45,6 @@ class AffineParams:
     def as_vector(self) -> np.ndarray:
         return np.array([self.tx, self.ty, self.theta, self.sx, self.sy, self.k])
 
-    @staticmethod
-    def from_vector(v) -> "AffineParams":
-        tx, ty, theta, sx, sy, k = (float(x) for x in v)
-        return AffineParams(tx=tx, ty=ty, theta=theta, sx=sx, sy=sy, k=k)
-
 
 def image_center(image: np.ndarray) -> tuple[float, float]:
     """Center pixel (x_t, y_t) of an (H, W) image or a (k, H, W) stack, with
@@ -58,15 +53,10 @@ def image_center(image: np.ndarray) -> tuple[float, float]:
     return ((width - 1) / 2.0, (height - 1) / 2.0)
 
 
-def center_adjusted(params: AffineParams, center: tuple[float, float]) -> np.ndarray:
-    """Matrix applying the linear part about ``center`` plus the translation."""
-    return np.vstack((_center_adjusted(params.as_vector(), center)[0], (0.0, 0.0, 1.0)))
-
-
 def _center_adjusted(vectors, center: tuple[float, float]) -> np.ndarray:
-    """The top two rows of ``center_adjusted`` for each row of a (B, 6) stack,
-    with the bytes of its own call: one stacked ``a @ c`` equals a product per
-    matrix (``einsum`` or the written-out sum would not)."""
+    """The (B, 2, 3) top rows of H about ``center`` for each row of a (B, 6)
+    stack, with the bytes of a row's own call: one stacked ``a @ c`` equals a
+    product per matrix (``einsum`` or the written-out sum would not)."""
     vectors = np.reshape(vectors, (-1, 6))
     rows = vectors.tolist()
     for *_, sx, sy, _ in rows:
@@ -84,22 +74,20 @@ def invert_params(params: AffineParams) -> AffineParams:
 
     The linear part inverts and re-factors as rotation times upper
     triangular (positive diagonal); the translation inverts to -A^{-1} t,
-    independent of the center.
+    independent of the center. A non-finite inverse means a singular A.
     """
-    a = center_adjusted(params, (0.0, 0.0))[:2, :2]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det == 0:
+    a = _center_adjusted(params.as_vector(), (0.0, 0.0))[0, :, :2]
+    with np.errstate(all="ignore"):  # a zero det, or one whose 1 / det overflows: inf or NaN
+        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+        theta = float(np.arctan2(a_inv[1, 0], a_inv[0, 0]))
+        c, s = np.cos(theta), np.sin(theta)
+        u = np.array([[c, s], [-s, c]]) @ a_inv  # rotation^T @ A^{-1}: upper triangular
+        t = -a_inv @ np.array([params.tx, params.ty])
+        inverse = (*t.tolist(), theta, float(u[0, 0]), float(u[1, 1]), float(u[0, 1] / u[1, 1]))
+    if not all(map(math.isfinite, inverse)):
         raise ValueError("singular affine matrix")
-    a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    theta = float(np.arctan2(a_inv[1, 0], a_inv[0, 0]))
-    c, s = np.cos(theta), np.sin(theta)
-    rot_t = np.array([[c, s], [-s, c]])
-    u = rot_t @ a_inv
-    sx = float(u[0, 0])
-    sy = float(u[1, 1])
-    k = float(u[0, 1] / sy)
-    t = -a_inv @ np.array([params.tx, params.ty])
-    return AffineParams(tx=float(t[0]), ty=float(t[1]), theta=theta, sx=sx, sy=sy, k=k)
+    return AffineParams(*inverse)
 
 
 def scale_params_between_levels(params: AffineParams) -> AffineParams:

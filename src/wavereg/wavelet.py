@@ -20,6 +20,8 @@ def dwt2(image: np.ndarray) -> np.ndarray:
     """Decompose an image into its four half-resolution Haar sub-bands,
     returned as one (4, H', W') stack in the order LL, LH, HL, HH."""
     image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"expected (H, W) array, got shape {image.shape}")
     height, width = image.shape
     if width < 2 or height < 2:
         raise ValueError("image too small for DWT (needs at least 2x2)")

@@ -24,7 +24,7 @@ from wavereg.metric import (
 )
 from wavereg.optimizer import GROWTH_FACTOR, SHRINK_FACTOR, optimize
 from wavereg.pyramid import GENERATING_KERNEL, reduce_image
-from wavereg.transform import center_adjusted, invert_params
+from wavereg.transform import _center_adjusted, invert_params
 from wavereg.wavelet import dwt2, idwt2
 
 
@@ -95,13 +95,14 @@ def test_criterion_2_property_suite():
             theta=rng.uniform(-1, 1), sx=rng.uniform(0.5, 2),
             sy=rng.uniform(0.5, 2), k=rng.uniform(-0.5, 0.5),
         )
-        origin = (0.0, 0.0)
-        prod = center_adjusted(p, origin) @ center_adjusted(invert_params(p), origin)
+        prod = np.eye(3)
+        for q in (p, invert_params(p)):  # the 3x3 matrices about the origin, multiplied
+            prod = prod @ np.vstack((_center_adjusted(q.as_vector(), (0.0, 0.0))[0], (0, 0, 1)))
         assert np.abs(prod - np.eye(3)).max() < 1e-9
 
     # optimizer radius bookkeeping, exact
     ocfg = OptimizerConfig(seed=1, max_iterations=300)
-    _, trace = optimize(lambda p, ahead=(): -(p.tx - 2.0) ** 2 - p.ty ** 2, AffineParams(), ocfg)
+    _, trace = optimize(lambda p, ahead=(): -(p[0] - 2.0) ** 2 - p[1] ** 2, AffineParams(), ocfg)
     for prev, cur in zip(trace.records, trace.records[1:]):
         factor = GROWTH_FACTOR if prev.accepted else SHRINK_FACTOR
         assert cur.radius == prev.radius * factor

@@ -82,6 +82,20 @@ def test_synth_non_finite_setting_writes_nothing(tmp_path, capsys, option, field
     assert not (out / "truth.json").exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--pattern", "noise", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--pattern", "phantom", "--noise-sigma", "0.01", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--sx", "1e-320"], "singular affine matrix"),
+])
+def test_synth_refused_spec_writes_nothing(tmp_path, capsys, option, message):
+    # a negative seed failed in NumPy for noise and was written to truth.json
+    # for a phantom; sx=1e-320 wrote the inverse's NaN into truth.json
+    out = tmp_path / "d"
+    assert main(["synth", "--size", "64", *option, "-o", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aliases_name_the_library_patterns_and_methods():
     # the values are the library's names; the keys are what users type
     assert tuple(PATTERN_ALIASES.values()) == PATTERNS

@@ -25,7 +25,7 @@ from wavereg.optimizer import (
 
 
 def quadratic(p, ahead=()):
-    return -((p.tx - 3.0) ** 2 + (p.ty + 1.0) ** 2)
+    return -((p[0] - 3.0) ** 2 + (p[1] + 1.0) ** 2)  # p a parameter row: tx, ty, theta ...
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def test_zero_iterations_returns_start():
     assert best == AffineParams()
     assert trace.records == ()
     assert trace.termination_reason == "max_iterations"
-    assert trace.best_value == quadratic(AffineParams())
+    assert trace.best_value == quadratic(AffineParams().as_vector())
 
 
 def test_invalid_start_raises():
@@ -84,7 +84,7 @@ def test_radius_bookkeeping_exact():
 
 def test_accepted_candidates_strictly_improve(trans_only):
     _, trace = optimize(quadratic, AffineParams(), trans_only)
-    parent_value = quadratic(AffineParams())
+    parent_value = quadratic(AffineParams().as_vector())
     for rec in trace.records:
         if rec.accepted:
             assert rec.value > parent_value
@@ -116,7 +116,30 @@ def test_nonpositive_scale_candidates_auto_rejected(monkeypatch):
         assert not rec.accepted
         assert rec.params.sx <= 0 or rec.params.sy <= 0
     for p in calls:
-        assert p.sx > 0 and p.sy > 0
+        assert p[3] > 0 and p[4] > 0  # sx, sy
+
+
+def test_objective_gets_read_only_rows_the_trace_records(monkeypatch):
+    """The objective gets each candidate as the read-only (6,) float64 row
+    that its trace record holds, after the start point's row, and ``optimize``
+    builds an ``AffineParams`` only for a candidate it accepts."""
+    rows, built = [], []
+
+    def recording(row, ahead=()):
+        rows.append(row)
+        return -abs(row[3] - 2.0)
+
+    monkeypatch.setattr("wavereg.optimizer.PARAM_SCALES", (0.0, 0.0, 0.0, 3000.0, 3000.0, 0.0))
+    monkeypatch.setattr("wavereg.optimizer.AffineParams",
+                        lambda *args: built.append(args) or AffineParams(*args))
+    _, trace = optimize(recording, AffineParams(), OptimizerConfig(seed=7, max_iterations=100))
+    evaluated = np.flatnonzero(~np.isnan(trace.table[:, 0]))
+    assert 0 < len(built) == trace.table[:, 1].sum() and len(evaluated) < len(trace.table)
+    assert rows[0].tobytes() == AffineParams().as_vector().tobytes()
+    assert [row.tobytes() for row in rows[1:]] == [trace.table[i, 3:].tobytes() for i in evaluated]
+    for row in rows:
+        assert isinstance(row, np.ndarray) and row.dtype == np.float64 and row.shape == (6,)
+    assert not any(row.flags.writeable for row in rows[1:])
 
 
 def test_determinism(trans_only):
@@ -169,7 +192,7 @@ def test_trace_csv(tmp_path, trans_only, monkeypatch):
     monkeypatch.setattr("wavereg.optimizer.PARAM_SCALES", (0.0, 0.0, 0.0, 3000.0, 3000.0, 0.0))
 
     def lost_below_1(p, ahead=()):
-        return -math.inf if p.sx < 1 else -abs(p.sx - 2)
+        return -math.inf if p[3] < 1 else -abs(p[3] - 2)
 
     _, trace = optimize(lost_below_1, AffineParams(), OptimizerConfig(seed=7, max_iterations=100))
     trace_to_csv(trace, path)
@@ -188,15 +211,16 @@ def _reference_optimize(objective, p0, config):
     rng = np.random.default_rng(config.seed)
     scales = np.asarray(wavereg.optimizer.PARAM_SCALES, dtype=np.float64)
     radius = INITIAL_RADIUS
-    best_params, best_value, records = p0, float(objective(p0)), []
+    best_params, best_value, records = p0, float(objective(p0.as_vector())), []
     for it in range(config.max_iterations):
         if radius < EPSILON:
             break
         step = radius * scales * rng.standard_normal(6)
-        candidate = AffineParams.from_vector(best_params.as_vector() + step)
+        row = best_params.as_vector() + step
+        candidate = AffineParams(*row.tolist())
         value, accepted = math.nan, False
         if candidate.sx > 0 and candidate.sy > 0:
-            value = float(objective(candidate))
+            value = float(objective(row))
             accepted = math.isfinite(value) and value > best_value
         records.append(IterationRecord(it, candidate, value, accepted, radius))
         if accepted:
@@ -217,7 +241,7 @@ class _LookAhead:
         self.f, self.kept, self.offered, self.asked, self.hits = f, {}, [], [], 0
 
     def __call__(self, p, ahead=()):
-        key = p.as_vector().tobytes()
+        key = p.tobytes()
         self.asked.append(key)
         if key in self.kept:
             self.hits += 1
@@ -225,7 +249,7 @@ class _LookAhead:
         rows = np.reshape(ahead, (-1, 6))
         assert (rows[:, 3] > 0).all() and (rows[:, 4] > 0).all()
         self.offered += [row.tobytes() for row in rows]
-        self.kept = {row.tobytes(): self.f(AffineParams.from_vector(row)) for row in rows}
+        self.kept = {row.tobytes(): self.f(row) for row in rows}
         self.kept[key] = self.f(p)
         return self.kept[key]
 

@@ -1,5 +1,7 @@
 """Gaussian pyramid reduction tests."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
@@ -114,3 +116,12 @@ def test_stack_equals_per_plane_bytes(shape):
         assert len(levels) == len(per_plane)
         for level, want in zip(levels, per_plane):
             assert level[k].tobytes() == want.tobytes()
+
+
+def test_wrong_rank_input_is_named():
+    # a row failed with "not enough values to unpack", or came back as a
+    # one-level pyramid
+    for image, levels in ((np.arange(40.0), 2), (np.arange(40.0), 1), (np.ones((2, 2, 8, 8)), 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected (H, W) or (k, H, W) array, got shape {image.shape}")):
+            build_pyramid(image, levels)

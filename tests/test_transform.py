@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from wavereg import AffineParams, invert_params, transform
 from wavereg.imageio import save_json
 from wavereg.transform import (
     _center_adjusted,
-    center_adjusted,
     image_center,
     params_to_dict,
     resample,
@@ -33,9 +33,15 @@ def _linear_part(params):
     return np.array([[sx * c, sy * (k * c - s)], [sx * s, sy * (k * s + c)]])
 
 
+def _homogeneous(params, center):
+    """The 3x3 matrix H of ``params`` about ``center``: ``_center_adjusted``'s
+    two rows over (0, 0, 1)."""
+    return np.vstack((_center_adjusted(params.as_vector(), center)[0], (0.0, 0.0, 1.0)))
+
+
 def _matrix(params):
     """Translation * rotation * skew * scaling: the matrix about the origin."""
-    return center_adjusted(params, ORIGIN)
+    return _homogeneous(params, ORIGIN)
 
 
 def test_identity_matrix():
@@ -61,16 +67,16 @@ def test_nonpositive_scale_rejected():
 
 
 def test_center_adjusted_identity_any_center():
-    assert np.array_equal(center_adjusted(AffineParams(), (17.0, -4.0)), np.eye(3))
+    assert np.array_equal(_homogeneous(AffineParams(), (17.0, -4.0)), np.eye(3))
 
 
 def test_center_adjusted_translation_center_free():
     p = AffineParams(tx=5, ty=1)
-    assert np.allclose(center_adjusted(p, (10.0, 10.0)), _matrix(p))
+    assert np.allclose(_homogeneous(p, (10.0, 10.0)), _matrix(p))
 
 
 def test_center_adjusted_quarter_turn():
-    m = center_adjusted(AffineParams(theta=math.pi / 2), (10.0, 10.0))
+    m = _homogeneous(AffineParams(theta=math.pi / 2), (10.0, 10.0))
     assert np.allclose(m[:2, 2], [20.0, 0.0], atol=1e-12)
     # x' = -(y - 10) + 10, y' = (x - 10) + 10
     assert np.allclose(m @ [10.0, 10.0, 1.0], [10.0, 10.0, 1.0], atol=1e-12)
@@ -100,6 +106,18 @@ def test_invert_params_singular_linear_part():
     # positive scales whose product underflows leave a zero determinant
     with pytest.raises(ValueError, match="singular"):
         invert_params(AffineParams(sx=1e-200, sy=1e-200))
+
+
+@pytest.mark.parametrize("params", [AffineParams(sx=1e-320), AffineParams(tx=1e10, sx=1e-300)],
+                         ids=["reciprocal-overflows", "translation-overflows"])
+def test_invert_params_refuses_a_non_finite_inverse(params):
+    # a determinant of 1e-320 is not 0, but 1 / det overflowed with a
+    # RuntimeWarning into an inverse of inf and NaN, which synth wrote into
+    # truth.json; with det 1e-300 the inverse translation overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^singular affine matrix$"):
+            invert_params(params)
 
 
 def test_scale_params_between_levels():
@@ -160,7 +178,7 @@ def test_warp_fill_value():
 def _reference_warp(moving, params):
     """Single-plane warp on a full ``mgrid``, kept as the oracle."""
     height, width = moving.shape
-    m = center_adjusted(params, image_center(moving))
+    m = _homogeneous(params, image_center(moving))
     ys, xs = np.mgrid[0:height, 0:width]
     src_x = m[0, 0] * xs + m[0, 1] * ys + m[0, 2]
     src_y = m[1, 0] * xs + m[1, 1] * ys + m[1, 2]
@@ -328,7 +346,7 @@ def test_resample_keeps_one_pass_of_temporaries():
 
 
 def test_center_adjusted_bytes_equal_matrix_formula():
-    """``center_adjusted`` gives the same bytes as A (v - c) + c + t built
+    """``_center_adjusted`` gives the same bytes as A (v - c) + c + t built
     with matrix products, so warped coordinates do not move."""
     rng = np.random.default_rng(11)
     for i in range(500):
@@ -342,12 +360,12 @@ def test_center_adjusted_bytes_equal_matrix_formula():
         ref = np.eye(3)
         ref[:2, :2] = a
         ref[:2, 2] = np.array([p.tx, p.ty]) + c - a @ c
-        assert center_adjusted(p, center).tobytes() == ref.tobytes()
+        assert _homogeneous(p, center).tobytes() == ref.tobytes()
 
 
 def test_batched_matrices_equal_center_adjusted():
-    """A (B, 6) stack's matrix rows have the bytes of one ``center_adjusted``
-    call each, and of the matrix formula, on 20,000 random parameter sets:
+    """A (B, 6) stack's matrix rows have the bytes of one ``_center_adjusted``
+    call per row, and of the matrix formula, on 20,000 random parameter sets:
     a stacked ``a @ c`` rounds as each product alone does, where ``einsum``
     or the written-out sum ``a00 * cx + a01 * cy`` would not."""
     rng = np.random.default_rng(12)
@@ -360,12 +378,12 @@ def test_batched_matrices_equal_center_adjusted():
         center = (int(rng.integers(0, 300)), 7) if done % 5 == 0 else tuple(rng.uniform(0, 300, 2))
         stacked = _center_adjusted(vectors, center)
         for row, matrix in zip(vectors, stacked):
-            p = AffineParams.from_vector(row)
+            p = AffineParams(*row.tolist())
             a = _linear_part(p)
             ref = np.eye(3)
             ref[:2, :2] = a
             ref[:2, 2] = np.array([p.tx, p.ty]) + np.array(center) - a @ np.array(center)
-            alone = center_adjusted(p, center)[:2]
+            (alone,) = _center_adjusted(row, center)
             assert matrix.tobytes() == alone.tobytes() == ref[:2].tobytes()
         done += b
 

@@ -1,5 +1,7 @@
 """Haar analysis/synthesis unit and property tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,9 @@ def test_perfect_reconstruction_and_energy_1000_random():
             img_energy = np.sum(img * img)
             assert abs(band_energy - img_energy) / img_energy < 1e-6
 
+
+def test_wrong_rank_input_is_named():
+    # a stack failed with "too many values to unpack", a row with "not enough"
+    for shape in ((2, 4, 4), (8,)):
+        with pytest.raises(ValueError, match=re.escape(f"expected (H, W) array, got shape {shape}")):
+            dwt2(np.ones(shape))
