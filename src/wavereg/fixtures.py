@@ -67,9 +67,7 @@ class FixtureSpec:
         # a NaN gamma would reach truth.json as the non-JSON token NaN
         if not math.isfinite(self.gamma) or self.remap == "gamma" and self.gamma <= 0:
             raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
-        for name, value in vars(self.truth).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        invert_params(self.truth)  # names a non-finite parameter, and refuses a singular truth
 
 
 def _render_phantom(size: int) -> np.ndarray:

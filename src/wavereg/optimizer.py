@@ -2,15 +2,15 @@
 
 Each generation scales a 6-vector of standard normal deviates by the
 search radius and ``PARAM_SCALES`` and adds it to the parent. Improvements
-grow the radius by ``GROWTH_FACTOR``, failures shrink it by
-``SHRINK_FACTOR``, so the candidates after a failure are known ahead and
-shown to the objective; their deviates are drawn a window at a time (a
-(w, 6) draw gives the numbers of w draws of 6). The loop stops when the
-radius drops below ``EPSILON`` or the iteration budget is spent. This
-step-size rule (Styner et al. 2000, IEEE TMI 19:153) is fixed: a run is
-set by its budget and seed alone, and is deterministic for a fixed seed.
-A trace keeps its iterations as one (n, 9) float64 table, 72 bytes an
-iteration, and ``records`` builds ``IterationRecord``s from it on demand.
+grow the radius by ``GROWTH_FACTOR``, failures shrink it by ``SHRINK_FACTOR``,
+so the candidates after a failure are known ahead. ``optimize`` plans a window
+of up to ``WINDOW`` of them as if all fail, none past the budget or the
+``EPSILON`` stop, and walks it to its first accept; the next window starts
+from the new parent and radius with the deviates left over (a (w, 6) draw
+gives the numbers of w draws of 6). This step-size rule (Styner et al. 2000,
+IEEE TMI 19:153) is fixed: a run is set by its budget and seed alone, and is
+deterministic. A trace keeps its iterations as one (n, 9) float64 table, 72
+bytes an iteration, and ``records`` builds ``IterationRecord``s on demand.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,11 +65,9 @@ class IterationRecord:
 
 @dataclass
 class OptimizerTrace:
-    # one row an iteration: value, accepted (1.0 or 0.0), radius, tx ... k
-    table: np.ndarray = field(default_factory=lambda: np.empty((0, 9)))
-    best_value: float = -math.inf
-    best_params: AffineParams | None = None
-    termination_reason: str = "max_iterations"
+    table: np.ndarray  # one row an iteration: value, accepted (1.0 or 0.0), radius, tx ... k
+    best_value: float
+    termination_reason: str  # "max_iterations" or "radius_below_epsilon"
 
     @property
     def records(self) -> tuple[IterationRecord, ...]:
@@ -89,36 +87,30 @@ def optimize(objective, p0: AffineParams, config: OptimizerConfig):
     if not math.isfinite(f0):
         raise ValueError("invalid start: objective is not finite at p0")
     rng = np.random.default_rng(config.seed)
-    radius, table = INITIAL_RADIUS, []
     # only strict improvements are accepted, so the parent is the best so far
-    trace = OptimizerTrace(best_value=f0, best_params=p0)
-    plan = deviates = np.empty((0, 6))  # this iteration's row first
-    for it in range(config.max_iterations):
-        if radius < EPSILON:
-            break
-        if not len(plan):  # used up, or moved by an accept: plan up to WINDOW candidates
-            factors = [radius] + [SHRINK_FACTOR] * (min(WINDOW, config.max_iterations - it) - 1)
-            radii = [r for r in itertools.accumulate(factors, float.__mul__) if r >= EPSILON]
-            deviates = np.concatenate((deviates, rng.standard_normal((WINDOW - len(deviates), 6))))
-            steps = np.outer(radii, PARAM_SCALES) * deviates[:len(radii)]
-            plan = trace.best_params.as_vector() + steps
-            plan.flags.writeable = False
-            kept = ~(plan[:, 3:5] <= 0).any(1)  # the rows it will evaluate: a NaN scale is scored
-            ahead, scored = plan[kept], iter(kept.tolist())
-        f_cand, accepted = math.nan, False
-        if next(scored):
-            ahead = ahead[1:]  # ahead[0] was this candidate
-            f_cand = float(objective(plan[0], ahead=ahead))
-            accepted = math.isfinite(f_cand) and f_cand > trace.best_value
-        table.append((f_cand, accepted, radius, *plan[0].tolist()))
-        if accepted:
-            trace.best_value, trace.best_params = f_cand, AffineParams(*plan[0].tolist())
-        plan, deviates = plan[1:] if not accepted else plan[:0], deviates[1:]
+    best, best_value, radius, table, deviates = p0, f0, INITIAL_RADIUS, [], np.empty((0, 6))
+    while len(table) < config.max_iterations and radius >= EPSILON:
+        factors = [radius] + [SHRINK_FACTOR] * (min(WINDOW, config.max_iterations - len(table)) - 1)
+        radii = [r for r in itertools.accumulate(factors, float.__mul__) if r >= EPSILON]
+        deviates = np.concatenate((deviates, rng.standard_normal((WINDOW - len(deviates), 6))))
+        plan = best.as_vector() + np.outer(radii, PARAM_SCALES) * deviates[:len(radii)]
+        plan.flags.writeable = False
+        kept = ~(plan[:, 3:5] <= 0).any(1)  # the rows it will evaluate: a NaN scale is scored
+        ahead = plan[kept]
+        for used, (row, radius, scored) in enumerate(zip(plan, radii, kept.tolist()), 1):
+            f_cand, accepted = math.nan, False
+            if scored:
+                ahead = ahead[1:]  # ahead[0] was this candidate
+                f_cand = float(objective(row, ahead=ahead))
+                accepted = math.isfinite(f_cand) and f_cand > best_value
+            table.append((f_cand, accepted, radius, *row.tolist()))
+            if accepted:  # the rows after it grew from the old parent: plan anew
+                best, best_value = AffineParams(*row.tolist()), f_cand
+                break
+        deviates = deviates[used:]
         radius *= GROWTH_FACTOR if accepted else SHRINK_FACTOR
-    trace.table = np.array(table, dtype=np.float64).reshape(-1, 9)
-    if radius < EPSILON:
-        trace.termination_reason = "radius_below_epsilon"
-    return trace.best_params, trace
+    reason = "radius_below_epsilon" if radius < EPSILON else "max_iterations"
+    return best, OptimizerTrace(np.array(table, dtype=float).reshape(-1, 9), best_value, reason)
 
 
 def trace_to_csv(trace: OptimizerTrace, path) -> None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optimizer import _check_integers
+
 GENERATING_KERNEL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 MIN_LEVEL_SIZE = 8
@@ -76,6 +78,7 @@ def build_pyramid(image: np.ndarray, num_levels: int) -> list[np.ndarray]:
     Levels whose smaller dimension would drop below ``MIN_LEVEL_SIZE`` are
     not built, so the list can be shorter than ``num_levels``.
     """
+    _check_integers(num_levels=num_levels)
     if num_levels < 1:
         raise ValueError(f"num_levels must be >= 1, got {num_levels}")
     levels = [np.asarray(image, dtype=np.float64)]

@@ -113,6 +113,12 @@ def test_spec_rejects_a_negative_seed():
         FixtureSpec(seed=-1).validate()
 
 
+def test_spec_refuses_a_singular_truth():
+    # validate let it through; only building the sidecar's recovery refused it
+    with pytest.raises(ValueError, match="^singular affine matrix$"):
+        FixtureSpec(truth=AffineParams(sx=1e-320)).validate()
+
+
 @pytest.mark.parametrize("field, value", [("size", 64.0), ("size", 64.5), ("seed", 1.5)])
 def test_spec_counts_must_be_integers(field, value):
     # a float size used to fail inside NumPy with "'float' object cannot be

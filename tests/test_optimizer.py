@@ -169,7 +169,7 @@ def test_trace_is_one_table_with_read_only_records(trans_only):
     assert trace.table.shape == (trans_only.max_iterations, 9)
     records = trace.records
     assert isinstance(records, tuple) and records == trace.records
-    assert OptimizerTrace().records == ()
+    assert OptimizerTrace(np.empty((0, 9)), -math.inf, "max_iterations").records == ()
     with pytest.raises(AttributeError):
         records.append(records[0])  # a stray append fails instead of vanishing
     with pytest.raises(AttributeError):
@@ -261,7 +261,19 @@ def _trace_bytes(result):
               r.accepted, r.radius.hex()) for r in trace.records])
 
 
-@pytest.mark.parametrize("case", ["accept", "auto_reject", "epsilon", "ragged", "zero"])
+def _last_row_accepts(records):
+    """The iterations accepted on the last row of a full window: a window
+    starts at iteration 0, after an accept and after WINDOW rows."""
+    start, found = 0, []
+    for r in records:
+        if r.iteration - start == WINDOW - 1 and r.accepted:
+            found.append(r.iteration)
+        if r.accepted or r.iteration - start == WINDOW - 1:
+            start = r.iteration + 1
+    return found
+
+
+@pytest.mark.parametrize("case", ["accept", "auto_reject", "epsilon", "ragged", "zero", "last_row"])
 def test_look_ahead_leaves_the_trace_unchanged(case, monkeypatch):
     """An objective that scores the ``ahead`` rows and one that ignores them
     see the same trace, record by record and bit for bit, and it is the
@@ -276,6 +288,8 @@ def test_look_ahead_leaves_the_trace_unchanged(case, monkeypatch):
         f, cfg = (lambda p: 0.0), OptimizerConfig(seed=2, max_iterations=3 * WINDOW + 5)
     elif case == "zero":
         cfg = OptimizerConfig(seed=2, max_iterations=0)
+    elif case == "last_row":  # a window's walk accepts on its last row
+        f, cfg = (lambda p: -((p[0] - 30.0) ** 2 + (p[1] + 1.0) ** 2)), OptimizerConfig(seed=7)
     look = _LookAhead(f)
     ahead = optimize(look, AffineParams(), cfg)
     plain = optimize(lambda p, ahead=(): f(p), AffineParams(), cfg)
@@ -291,6 +305,8 @@ def test_look_ahead_leaves_the_trace_unchanged(case, monkeypatch):
         assert len(records) % WINDOW
     elif case == "ragged":
         assert len(records) == cfg.max_iterations and cfg.max_iterations % WINDOW
+    elif case == "last_row":
+        assert _last_row_accepts(records)
     if case != "zero":
         assert look.hits > 0
     if not any(r.accepted for r in records):

@@ -113,8 +113,9 @@ def test_wavelet_reconstruction_error_bounded(monkeypatch):
         FixtureSpec(size=128, truth=AffineParams(tx=5, ty=-3, theta=0.05), seed=3)
     )
     recovery = invert_params(truth)
+    unrun = OptimizerTrace(np.empty((0, 9)), -math.inf, "max_iterations")
     monkeypatch.setattr("wavereg.pipeline._coarse_to_fine", lambda objectives, config: (
-        replace(recovery, tx=recovery.tx * 0.5, ty=recovery.ty * 0.5), [OptimizerTrace()]))
+        replace(recovery, tx=recovery.tx * 0.5, ty=recovery.ty * 0.5), [unrun]))
     r = register(moving, moving, _config("wavelet"))
     assert r.params == recovery
     registered, mask = r.registered, r.mask

@@ -125,3 +125,12 @@ def test_wrong_rank_input_is_named():
         with pytest.raises(ValueError, match=re.escape(
                 f"expected (H, W) or (k, H, W) array, got shape {image.shape}")):
             build_pyramid(image, levels)
+
+
+@pytest.mark.parametrize("levels", [2.5, 2.0, True])
+def test_num_levels_must_be_an_integer(levels):
+    # 2.5 failed inside range() with "'float' object cannot be interpreted as
+    # an integer", and True built a one-level pyramid
+    with pytest.raises(ValueError, match=rf"^num_levels must be an integer, got {levels}$"):
+        build_pyramid(np.ones((64, 64)), levels)
+    assert len(build_pyramid(np.ones((64, 64)), np.int64(2))) == 2  # a NumPy integer is one

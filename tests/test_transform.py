@@ -120,6 +120,16 @@ def test_invert_params_refuses_a_non_finite_inverse(params):
             invert_params(params)
 
 
+@pytest.mark.parametrize("field, value", [("theta", math.nan), ("tx", math.inf), ("sx", math.nan),
+                                          ("sy", -math.inf), ("k", math.nan)])
+def test_invert_params_names_a_non_finite_parameter(field, value):
+    # theta=nan was called a "singular affine matrix", and sy=-inf "scales
+    # must be positive"; a finite singular input keeps the first message
+    # (test_invert_params_refuses_a_non_finite_inverse)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+        invert_params(replace(AffineParams(), **{field: value}))
+
+
 def test_scale_params_between_levels():
     p = AffineParams(tx=1.5, ty=-2, theta=0.3, sx=1.1, sy=0.9, k=0.05)
     q = scale_params_between_levels(p)
