@@ -22,8 +22,9 @@ _TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def _parse_header(data: bytes) -> tuple[int, int, int, int]:
-    if data[:2] != b"P5":
-        raise PnmError(f"unsupported magic {data[:2]!r} (expected P5)")
+    magic = re.match(rb"[^\s#]{0,16}", data)[0]  # whitespace or "#" ends it, as any token
+    if magic != b"P5":
+        raise PnmError(f"unsupported magic {magic!r} (expected P5)")
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
@@ -75,8 +76,8 @@ def save_pgm(image: np.ndarray, path) -> None:
     """Write an 8-bit binary PGM (P5); intensities are rounded half-up and
     clamped into [0, 255]. Non-finite pixels raise ``ValueError``."""
     image = np.atleast_2d(np.asarray(image, dtype=np.float64))
-    if image.ndim != 2:
-        raise ValueError(f"expected (H, W) array, got shape {image.shape}")
+    if image.ndim != 2 or not image.size:  # load_pgm reads no empty image back
+        raise ValueError(f"expected a non-empty (H, W) array, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise ValueError("image has non-finite pixels (NaN or Inf)")
     _save_pnm("P5", np.clip(np.floor(image + 0.5), 0, 255).astype(np.uint8), path)
@@ -85,9 +86,9 @@ def save_pgm(image: np.ndarray, path) -> None:
 def save_ppm(rgb: np.ndarray, path) -> None:
     """Write a binary PPM (P6) from an (H, W, 3) uint8 array."""
     rgb = np.asarray(rgb)
-    if rgb.ndim != 3 or rgb.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) array, got shape {rgb.shape}")
-    _save_pnm("P6", rgb.astype(np.uint8), path)
+    if rgb.dtype != np.uint8 or rgb.ndim != 3 or rgb.shape[2] != 3:
+        raise ValueError(f"expected (H, W, 3) uint8 array, got {rgb.dtype} of shape {rgb.shape}")
+    _save_pnm("P6", rgb, path)
 
 
 def save_json(data, path) -> None:

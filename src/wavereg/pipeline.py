@@ -135,12 +135,13 @@ class _LevelObjective:
     later call from them when its row matches one byte for byte: 16 up to 64x64
     or 4x32x32, 4 at 128x128 or 4x64x64, 1 from 256x256 or 4x128x128 on. A fixed
     plane's masked range is that of its masked ``_ENDS`` lowest and highest
-    pixels (no other is lower or higher), or of all its masked pixels where none
-    of those is masked. A bin depends only on the value and the range, so a fixed
-    plane is binned whole (clipped into the range) once per masked range and kept
-    as cell offsets in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k``
-    (plane, range) pairs, k the level's planes, looked up once per run of
-    consecutive candidates that share a plane's range."""
+    pixels, the ends of one stable argsort (ties in raster order; no other pixel
+    is lower or higher), or of all its masked pixels where none of those is
+    masked. A bin depends only on the value and the range, so a fixed plane is
+    binned whole (clipped into the range) once per masked range and kept as cell
+    offsets in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k`` (plane,
+    range) pairs, k the level's planes, looked up once per run of consecutive
+    candidates that share a plane's range."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -154,14 +155,8 @@ class _LevelObjective:
         self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: (
             (_bin_index(np.clip(planes[p], lo, hi), lo, hi, bins) + p * bins) * bins).astype(kind))
         self.batch = min(WINDOW, max(1, 4 * _PASS // moving.size))
-        # (plane, lowest/highest, n): each plane's pixels under (over) its n-th value, and ties
-        n, ends = min(_ENDS, self.fixed.shape[1]), []
-        for plane, (low, high) in zip(self.fixed, np.sort(self.fixed, 1)[:, [n - 1, -n]]):
-            for beyond, tied in ((plane < low, plane == low), (plane > high, plane == high)):
-                beyond, tied = np.flatnonzero(beyond), np.flatnonzero(tied)
-                spread = np.arange(n - len(beyond)) * len(tied) // (n - len(beyond))
-                ends.append(np.concatenate((beyond, tied[spread])))  # ties spread over the plane
-        self.ends = np.reshape(ends, (len(fixed), 2, n))
+        order = np.argsort(self.fixed, 1, kind="stable")  # ties in raster order
+        self.ends = np.stack((order[:, :_ENDS], order[:, :-_ENDS - 1:-1]), 1)  # (k, 2, _ENDS)
         self.end_values = self.fixed[np.arange(len(fixed))[:, None, None], self.ends] * [[1], [-1]]
         self.kept = {}  # row bytes -> value, of the last pass
 

@@ -206,12 +206,15 @@ def warp(moving: np.ndarray, params: AffineParams) -> tuple[np.ndarray, np.ndarr
     bit, and ``scipy.ndimage.map_coordinates(order=1, mode="constant")``
     byte for byte: it is ``resample``'s samples, scattered into zeros.
     """
-    if not np.isfinite(np.asarray(moving, dtype=np.float64)).all():
+    moving = np.asarray(moving, dtype=np.float64)
+    if moving.ndim not in (2, 3):
+        raise ValueError(f"expected (H, W) or (k, H, W) array, got shape {moving.shape}")
+    if not np.isfinite(moving).all():
         raise ValueError("moving image has non-finite pixels (NaN or Inf)")
     samples, (mask,) = resample(moving, params.as_vector())
     out = np.zeros((len(samples), mask.size))
     out[:, mask.ravel()] = samples
-    return out.reshape(np.shape(moving)), mask
+    return out.reshape(moving.shape), mask
 
 
 def params_to_dict(params: AffineParams, center: tuple[float, float]) -> dict:

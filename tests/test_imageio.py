@@ -46,11 +46,14 @@ def test_load_skips_comments(tmp_path):
     (b"P5 2 1 255#x\n\x07\x08", "invalid maxval field b'255#x'"),
     (b"P5 2 1 # a comment that runs to the end of the file", "truncated header"),
     (b"P5", "truncated header"),
+    (b"P512 1 255\n" + bytes(12), "unsupported magic b'P512' (expected P5)"),
 ], ids=["comment-after-magic", "tab-cr-vt-ff", "consecutive-comments", "plus-sign",
-        "hash-inside-width", "hash-inside-maxval", "comment-to-eof", "bare-magic"])
+        "hash-inside-width", "hash-inside-maxval", "comment-to-eof", "bare-magic",
+        "no-separator-after-magic"])
 def test_load_header_tokens(tmp_path, data, expected):
     # a token is the bytes up to the next whitespace, "#" included; only a
-    # "#" that starts a token opens a comment, which runs to the end of its line
+    # "#" that starts a token opens a comment, which runs to the end of its line.
+    # The magic is a token too: "P512" was read as P5 and a width of 12
     path = tmp_path / "h.pgm"
     path.write_bytes(data)
     if isinstance(expected, str):
@@ -102,9 +105,12 @@ def test_save_rejects_non_finite(tmp_path, bad):
 
 
 def test_save_pgm_rejects_a_stack(tmp_path):
-    with pytest.raises(ValueError, match=re.escape("expected (H, W) array, got shape (2, 3, 3)")):
-        save_pgm(np.zeros((2, 3, 3)), tmp_path / "x.pgm")
-    assert not (tmp_path / "x.pgm").exists()
+    # an empty image was written as "P5\n3 0\n255\n", which load_pgm refuses
+    for shape in ((2, 3, 3), (0, 3)):
+        message = f"expected a non-empty (H, W) array, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_pgm(np.zeros(shape), tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
 
 def test_pgm_roundtrip_integer_image(tmp_path):
@@ -126,6 +132,15 @@ def test_save_ppm(tmp_path):
     path = tmp_path / "o.ppm"
     save_ppm(rgb, path)
     assert path.read_bytes() == b"P6\n3 2\n255\n" + bytes(range(18))
+
+
+@pytest.mark.parametrize("value", [300.0, np.nan])
+def test_save_ppm_rejects_anything_but_uint8(tmp_path, value):
+    # 300.0 was written as byte 44, and NaN as whatever the cast gave
+    with pytest.raises(ValueError, match=re.escape(
+            "expected (H, W, 3) uint8 array, got float64 of shape (2, 3, 3)")):
+        save_ppm(np.full((2, 3, 3), value), tmp_path / "o.ppm")
+    assert not (tmp_path / "o.ppm").exists()
 
 
 def test_remap_invert():

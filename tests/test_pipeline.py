@@ -660,19 +660,25 @@ def test_level_objective_reads_masked_ranges_from_the_ends():
     the bits of ``_summed_mi``: where the fixed range comes from the masked
     lowest and highest pixels, where a shift masks out all of the lowest
     pixels (the masked pixels are then read whole), with the minimum tied
-    over many pixels, and with -0.0 and +0.0 both at the minimum."""
+    over many pixels, and with -0.0 and +0.0 both at the minimum. A plane's
+    ends are its 32 lowest pixels, ties in raster order, and its 32 highest,
+    ties in reverse raster order."""
     rng = np.random.default_rng(7)
     for name, fixed, moving in _end_levels():
         objective = _LevelObjective(fixed, moving, 50)
         assert objective.batch == 4, name
+        index = np.arange(fixed[0].size)
+        for plane, ends in zip(fixed.reshape(len(fixed), -1), objective.ends):
+            assert np.array_equal(ends[0], np.lexsort((index, plane))[:32]), name
+            assert np.array_equal(ends[1], np.lexsort((-index, -plane))[:32]), name
         size = moving.shape[-1]
         candidates = [AffineParams(
             tx=rng.normal() * size / 40, ty=rng.normal() * size / 40, theta=rng.normal() * 0.05,
             sx=rng.uniform(0.95, 1.05), sy=rng.uniform(0.95, 1.05)) for _ in range(6)]
         candidates += [AffineParams(tx=-4.0, ty=rng.normal(), theta=0.01 * i) for i in range(2)]
-        for p in candidates[-2:]:  # neither keeps any of a plane's lowest pixels
-            mask = warp(moving, p)[1].ravel()
-            assert mask[objective.ends[:, 0]].any() == (not name.endswith("columns-0-2")), name
+        for p in candidates[-2:] if name.endswith("columns-0-2") else ():
+            # neither keeps any of a plane's lowest pixels
+            assert not warp(moving, p)[1].ravel()[objective.ends[:, 0]].any(), name
         expected = [_summed_mi(fixed, moving, objective.bins, p).hex() for p in candidates]
         for start in range(0, len(candidates), 4):
             values = objective._score(np.array([p.as_vector() for p in candidates[start:start + 4]]))

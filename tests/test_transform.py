@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -307,6 +308,15 @@ def test_warp_rejects_non_finite_planes(bad, shape):
     planes[..., 11, 0] = bad
     with pytest.raises(ValueError, match="moving image has non-finite pixels"):
         warp(planes, AffineParams(ty=-0.3))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 2, 8, 8)])
+def test_warp_names_an_input_of_the_wrong_rank(shape):
+    # a row failed with "not enough values to unpack", and a 4-D array was
+    # warped as a stack of 4 planes
+    message = f"expected (H, W) or (k, H, W) array, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        warp(np.ones(shape), AffineParams())
 
 
 def test_resample_gives_the_masked_samples_of_warp():
