@@ -11,8 +11,8 @@ and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
 with the top edge counted in the last bin. All binning and MI temporaries
-but the nonzero cells live in per-thread memory reused from call to call
-(``_buffer``). One ``np.bincount`` fills the joint histogram.
+but the list of nonzero cells live in the per-thread arena reused from call
+to call (``transform._buffer``). One ``np.bincount`` fills the joint histogram.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ def _degenerate(fmin, fmax, mmin, mmax):
             | (mmax - mmin <= _FLAT_TOL * np.maximum(-mmin, mmax)))
 
 
-def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None, out=None) -> np.ndarray:
+def _bin_index(values, lo, hi, bins: int, counts=None, out=None, start=0) -> np.ndarray:
     """Index of the ``linspace(lo, hi, bins + 1)`` bin holding each value in
     [lo, hi]: the last edge not above it, the top edge in the last bin.
     ``values`` is one row with scalar bounds, or (r, n) rows with (r,) or, in
     runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone.
-    Returns a new array, or ``out``; its (r, n) temporaries live in ``_buffer``s."""
+    Returns a new array, or ``out``; its temporaries are in the arena from ``start``."""
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     rows = np.atleast_2d(values)
     step = (hi - lo) / bins
@@ -69,14 +69,15 @@ def _bin_index(values: np.ndarray, lo, hi, bins: int, counts=None, out=None) -> 
     offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None]
     if lo.size > len(rows):  # row p's run j: bounds p * s + j, copied over the run
         bounds = np.concatenate((lo, hi - lo, offsets), 1).T.reshape(3, len(rows), -1, 1)
-        per, offsets = _buffer("edges", (2, *rows.shape)), _buffer("offsets", rows.shape, np.intp)
+        per = _buffer((2, *rows.shape), start=start)
+        offsets = _buffer(rows.shape, np.intp, start + per.nbytes)
         for j, run in enumerate(map(slice, accumulate([0, *counts[:-1]]), accumulate(counts))):
             per[..., run], offsets[:, run] = bounds[:2, :, j], bounds[2, :, j]
         guess, span = np.subtract(rows, per[0], out=per[0]), per[1]
     else:
-        guess, span = np.subtract(rows, lo, out=_buffer("edges", rows.shape)), hi - lo
-    guess /= span
-    edge, (down, up) = guess, _buffer("flags", (2, *rows.shape), bool)
+        guess, span = np.subtract(rows, lo, out=_buffer(rows.shape, start=start)), hi - lo
+    guess /= span  # then the flags overwrite the run spans
+    edge, (down, up) = guess, _buffer((2, *rows.shape), bool, start + guess.nbytes)
     index = np.empty(rows.shape, np.intp) if out is None else out.reshape(rows.shape)
     guess *= bins
     np.copyto(index, guess, casting="unsafe")  # truncated, as astype
@@ -111,36 +112,47 @@ def joint_histogram(
     mask: np.ndarray,
     bins: int = 50,
 ) -> JointHistogram:
-    """Accumulate the joint intensity histogram over the masked overlap."""
+    """Accumulate the joint intensity histogram over the masked overlap, binning
+    both images whole in the arena with their unmasked pixels at the range's low end."""
     _check_bins(bins)
     fixed, moving, mask = _image_mask(fixed, moving, mask)
-    fvals, mvals = fixed[mask], moving[mask]
-    if fvals.size == 0:
+    total = np.count_nonzero(mask)
+    if total == 0:
         raise ValueError("no overlap: empty mask")
-    fmin, fmax = float(fvals.min()), float(fvals.max())
-    mmin, mmax = float(mvals.min()), float(mvals.max())
-    degenerate = _degenerate(fmin, fmax, mmin, mmax)  # raises first on a non-finite bound
-    for name, lo, hi in (("fixed", fmin, fmax), ("moving", mmin, mmax)):
+    ranges = [[float(f.reduce(x, None, where=mask, initial=i)) for f, i in
+               ((np.minimum, np.inf), (np.maximum, -np.inf))] for x in (fixed, moving)]
+    degenerate = _degenerate(*ranges[0], *ranges[1])  # raises first on a non-finite bound
+    for name, (lo, hi) in zip(("fixed", "moving"), ranges):
         if math.isinf(hi - lo):
             raise ValueError(f"{name} intensity range [{lo:.6g}, {hi:.6g}] overflows float64")
     if degenerate:
         counts = np.zeros((bins, bins))
-        counts[0, 0] = fvals.size
-        return JointHistogram(counts=counts, total=float(fvals.size), degenerate=True)
-    cell = _bin_index(fvals, fmin, fmax, bins) * bins
-    cell += _bin_index(mvals, mmin, mmax, bins)
-    counts = np.bincount(cell, minlength=bins * bins).reshape(bins, bins)
-    return JointHistogram(counts=counts.astype(np.float64), total=float(fvals.size))
+        counts[0, 0] = total
+        return JointHistogram(counts=counts, total=float(total), degenerate=True)
+    values, (cell, index) = _buffer(mask.shape), _buffer((2, *mask.shape), np.intp, 8 * mask.size)
+    for x, (lo, hi), out in zip((fixed, moving), ranges, (cell, index)):
+        values.fill(lo)
+        np.copyto(values, x, where=mask)
+        _bin_index(values, lo, hi, bins, out=out, start=24 * mask.size)
+    cell *= bins
+    cell += index
+    counts = np.bincount(cell.ravel(), minlength=bins * bins)
+    counts[cell.flat[mask.argmin()]] -= mask.size - total  # the unmasked pixels share one cell
+    return JointHistogram(counts=counts.reshape(bins, bins).astype(np.float64), total=float(total))
 
 
 def _mi_bits(counts: np.ndarray, total) -> list[float]:
     """MI in bits of each (b, b) histogram of ``total`` samples (or (n, 1, 1) totals) in a
-    stack of counts: ``np.sum``'s pairwise ``np.add.reduce`` over its own nonzero cells."""
-    p = np.divide(counts, total, out=_buffer("mi", counts.shape))
-    outer = np.multiply(np.add.reduce(p, 2)[:, :, None], np.add.reduce(p, 1)[:, None, :],
-                        out=_buffer("outer", counts.shape))
-    nz = np.flatnonzero(np.greater(p, 0, out=_buffer("nonzero", counts.shape, bool)))
-    cells, terms = p.take(nz), outer.take(nz)  # terms: cells * log2(cells / outer), in place
+    stack of counts: ``np.sum``'s pairwise ``np.add.reduce`` over its own nonzero cells.
+    Its temporaries fill the arena from byte 0, so neither argument may live there."""
+    p = np.divide(counts, total, out=_buffer(counts.shape))
+    # one product a cell (a broadcast multiply would allocate buffers for its operands)
+    outer = np.einsum("ni,nj->nij", np.add.reduce(p, 2), np.add.reduce(p, 1),
+                      out=_buffer(counts.shape, start=p.nbytes))
+    nz = np.flatnonzero(np.greater(p, 0, out=_buffer(counts.shape, bool, 2 * p.nbytes)))
+    # terms: cells * log2(cells / outer), in place; "clip" takes write straight into out=
+    cells, terms = (x.take(nz, out=_buffer(nz.shape, start=i * p.nbytes), mode="clip")
+                    for i, x in ((2, p), (3, outer)))
     np.log2(np.divide(cells, terms, out=terms), out=terms)
     terms *= cells
     stops = np.searchsorted(nz, np.arange(1, len(p) + 1) * p[0].size).tolist()

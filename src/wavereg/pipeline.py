@@ -149,12 +149,13 @@ class _LevelObjective:
         # level the estimation bias of MI rewards shrinking the overlap
         self.bins = min(bins, max(2, math.isqrt(moving[0].size) // 2))
         self.cells = len(fixed) * self.bins * self.bins  # per candidate
+        self.batch = min(WINDOW, max(1, 4 * _PASS // moving.size))
         # fixed plane clipped into [lo, hi] -> its cell offsets; a closure over
         # the planes, as a bound method of self would make a reference cycle
         planes, bins, kind = self.fixed, self.bins, np.min_scalar_type(self.cells - 1)
-        self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: (
-            (_bin_index(np.clip(planes[p], lo, hi), lo, hi, bins) + p * bins) * bins).astype(kind))
-        self.batch = min(WINDOW, max(1, 4 * _PASS // moving.size))
+        start = 16 * self.batch * moving.size  # arena bytes past any call's cells (see _score)
+        self.binned = functools.lru_cache(_MEMO_SIZE * len(fixed))(lambda p, lo, hi: ((_bin_index(
+            np.clip(planes[p], lo, hi), lo, hi, bins, start=start) + p * bins) * bins).astype(kind))
         order = np.argsort(self.fixed, 1, kind="stable")  # ties in raster order
         self.ends = np.stack((order[:, :_ENDS], order[:, :-_ENDS - 1:-1]), 1)  # (k, 2, _ENDS)
         self.end_values = self.fixed[np.arange(len(fixed))[:, None, None], self.ends] * [[1], [-1]]
@@ -167,6 +168,10 @@ class _LevelObjective:
         return self.kept[row.tobytes()]
 
     def _score(self, vectors: np.ndarray) -> list[float]:
+        # arena phases (S = 8 * B * k * H * W bytes): samples in [0, S), resample's pass
+        # temporaries behind; cells in [S, 2S), then _bin_index's; cell tables over the dead
+        # samples (binned misses past 2S of a full batch); _mi_bits from 0
+        front = 8 * len(vectors) * self.moving.size
         samples, masks = resample(self.moving, vectors)
         inside = masks.reshape(len(masks), -1)
         counts = list(map(np.count_nonzero, inside))
@@ -182,8 +187,8 @@ class _LevelObjective:
         if flat.any():  # a flat pair's cells are never read: any range holding its values
             bounds[1::2] = [np.where(flat, b + abs(b) + 1.0, b) for b in bounds[1::2]]
         cell = _bin_index(samples, *bounds[2:], self.bins, counts,
-                          out=_buffer("cells", samples.shape, np.intp))
-        tables = _buffer("tables", (len(cell), *inside.shape), np.uint32)
+                          out=_buffer(samples.shape, np.intp, front), start=2 * front)
+        tables = _buffer((len(cell), *inside.shape), np.uint32)
         for plane, ranges in enumerate(zip(bounds[0].tolist(), bounds[1].tolist())):
             done = 0
             for key, run in itertools.groupby(zip(*ranges)):  # consecutive candidates, one range

@@ -18,10 +18,10 @@ planes of a stack, gathers the corner values with one ``take`` and sums
 the weighted terms with SciPy's own order-1 weights and summation order,
 so its bytes equal ``scipy.ndimage.map_coordinates(order=1,
 mode="constant")`` (the test oracle) in about half the time per pixel. It
-returns only the masked samples, all the registration objective reads, in
-per-thread memory (``_buffer``) that its next call reuses; ``warp`` scatters
-one candidate's into new zeros. Its passes hold 16,384 values (k per pixel),
-and their temporaries, but for the list of masked pixels, live there too.
+returns only the masked samples, all the registration objective reads, at
+the front of the per-thread arena (``_buffer``) that its next call reuses;
+``warp`` scatters one candidate's into new zeros. Its passes of 16,384 values
+(k per pixel) keep their temporaries, but the masked pixels' list, behind them.
 """
 
 from __future__ import annotations
@@ -99,30 +99,30 @@ def scale_params_between_levels(params: AffineParams) -> AffineParams:
 
 
 # values (k planes x pixels) per ``resample`` pass, a quarter of a look-ahead
-# batch of ``pipeline``; a pass's temporaries (128-512 KiB here, where freshly
-# allocated ones went back to the kernel after each pass) live in ``_buffer``s
+# batch of ``pipeline``, and the arena's growth step in float64s
 _PASS = 16384
 
 _local = threading.local()
 
 
-def _buffer(name: str, shape, dtype=np.float64) -> np.ndarray:
-    """Memory kept per ``name`` (one ``dtype`` each) and per thread, grown in
-    whole ``_PASS`` elements, viewed as an array of ``shape``: ``resample``'s
-    samples and the per-pass and per-batch temporaries of the objective live
-    here, so no call allocates, or page-faults, them."""
-    buf = getattr(_local, name, None)
-    if buf is None or buf.size < math.prod(shape):
-        buf = np.empty(-(-math.prod(shape) // _PASS) * _PASS, dtype)
-        setattr(_local, name, buf)
-    return np.ndarray(shape, dtype, buf)
+def _buffer(shape, dtype=np.float64, start=0) -> np.ndarray:
+    """A view of ``shape`` at byte ``start`` of the one scratch block kept per
+    thread (the arena), grown in whole ``_PASS`` float64s when the view ends past
+    it: no call allocates, or page-faults, its temporaries. Views alias, so each
+    caller places an array where nothing it still reads lives (see ``_score`` in
+    ``pipeline``); a view into a block that grew keeps that block alive."""
+    end = start + math.prod(shape) * np.dtype(dtype).itemsize
+    arena = getattr(_local, "arena", None)
+    if arena is None or arena.size < end:
+        arena = _local.arena = np.empty(-(-end // (8 * _PASS)) * 8 * _PASS, np.uint8)
+    return np.ndarray(shape, dtype, arena, start)
 
 
 def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     """``warp``'s masked pixels under each row of a (B, 6) stack of
     ``AffineParams.as_vector``s: the (B, H, W) masks, and the (k, n) samples
     of one candidate after another, each equal to ``warp(moving, p)[0][:,
-    mask]`` byte for byte, in a per-thread buffer that the next call reuses.
+    mask]`` byte for byte, from byte 0 of the arena, which the next call reuses.
 
     A pass resamples the whole planes of as many candidates as fit in
     ``_PASS`` values (k per pixel), or else a block of rows (or one row) of
@@ -150,7 +150,7 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     # one request: the samples, then per pass the corner values (where the
     # coordinates, flags and floors live before the gather), the corner index
     # (then the weights) and the fractions
-    buf = _buffer("resample", (k * masks.size + (4 * k + 6) * size,))
+    buf = _buffer((k * masks.size + (4 * k + 6) * size,))
     samples, gathered = buf[:k * masks.size].reshape(k, -1), buf[k * masks.size:]
     weights, fractions = gathered[4 * k * size:], gathered[(4 * k + 4) * size:]
     flags, index = gathered[2 * size:].view(bool), weights.view(np.intp)

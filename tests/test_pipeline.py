@@ -776,14 +776,15 @@ def test_batch_of_every_workload_level_is_what_a_call_scores():
 
 
 def test_look_ahead_batches_keep_bounded_memory():
-    """Per-thread memory that a new thread keeps after one 4-candidate call
-    on a 128x128 plane and one on a 4x64x64 stack: ``resample``'s 1,835,008
-    bytes; for each of the 65,536 values 8 bytes of bin index, 16 of guess
-    and run span, 8 of run offset, 2 of comparison flags and 4 of fixed cell
-    table (38 in all); 17 bytes a cell for the MI of the 16,384-cell
-    histograms. A single candidate has no run spans or offsets (22 bytes a
-    value). Before these were kept, the two calls (then one candidate each)
-    kept 1,605,632 bytes and a 256x256 call 2,490,368."""
+    """The per-thread arena that a new thread keeps after one 4-candidate call
+    on a 128x128 plane and one on a 4x64x64 stack (65,536 values each) is the
+    call's largest phase: 8 bytes a value of samples, 8 of bin index and 24
+    of binning temporaries (16 of guess and run span, 8 of run offset; the
+    comparison flags overwrite the spans), 2,621,440 bytes, under 3 MiB. A
+    single 256x256 candidate keeps ``resample``'s 1,835,008 bytes (its samples
+    and one 16,384-value pass of temporaries), more than its samples, bin
+    index and 10 bytes a value of binning temporaries. Nine named buffers
+    kept 4,603,904 and 3,555,328 bytes before the arena."""
     def kept(shapes, batch):
         rng = np.random.default_rng(0)
         for shape in shapes:
@@ -794,10 +795,47 @@ def test_look_ahead_batches_keep_bounded_memory():
 
     with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread keeps nothing yet
         assert pool.submit(kept, [(1, 128, 128), (4, 64, 64)], 4).result(timeout=60) <= (
-            1_835_008 + 65_536 * 38 + 16_384 * 17)
+            65_536 * (8 + 8 + 24)) < 3 * 2**20
     with ThreadPoolExecutor(max_workers=1) as pool:
-        assert pool.submit(kept, [(1, 256, 256)], 1).result(timeout=60) <= (
-            1_835_008 + 65_536 * 22 + 16_384 * 17)
+        assert pool.submit(kept, [(1, 256, 256)], 1).result(timeout=60) <= 1_835_008
+
+
+def test_arena_phases_give_every_candidate_of_a_full_call_its_bits():
+    """Calls of 65,536 values (16 candidates on a 64x64 plane and on a
+    4x32x32 stack, 4 on a 128x128 plane) give each candidate the bits of
+    ``_summed_mi`` while binned misses fire as the fixed cell tables fill: on
+    a fresh objective the masked fixed ranges differ inside the call, and the
+    last candidates mask none of a plane's lowest pixels (their masked pixels
+    are read whole, each with a range of its own). A batch with a lost
+    overlap scores each candidate alone. The call's samples, bin index,
+    binning temporaries, tables and MI temporaries share one per-thread arena,
+    each phase over memory that the phases before it left dead."""
+    fixed, moving, _ = generate_pair(FixtureSpec(
+        size=128, truth=AffineParams(tx=3, ty=-2, theta=0.05), remap="invert", seed=5))
+    levels = [[build_pyramid(x[None], 2)[1] for x in (fixed, moving)],
+              [build_pyramid(dwt2(x), 2)[1] for x in (fixed, moving)],
+              [x[None] for x in (fixed, moving)]]
+    rng = np.random.default_rng(11)
+    for f, m in levels:
+        f = f.copy()  # the lowest pixels of each plane in column 0, the next in columns 1, 2
+        f[:, :, :3] = f.min(axis=(1, 2), keepdims=True) - 3.0 + np.arange(3)
+        objective = _LevelObjective(f, m, 50)
+        batch, size = objective.batch, m.shape[-1]
+        assert batch * m.size == 65_536
+        candidates = [AffineParams(
+            tx=rng.normal() * size / 40, ty=rng.normal() * size / 40, theta=rng.normal() * 0.05,
+            sx=rng.uniform(0.95, 1.05), sy=rng.uniform(0.95, 1.05)) for _ in range(batch - 2)]
+        candidates += [AffineParams(tx=-0.6), AffineParams(tx=-1.6, ty=0.3)]
+        for p in candidates[-2:]:  # columns 0 or 0-1 fall out of the overlap
+            assert not warp(m, p)[1].ravel()[objective.ends[:, 0]].any()
+        candidates.append(AffineParams(tx=0.6 * size))  # keeps less than half the level
+        expected = [_summed_mi(f, m, objective.bins, p).hex() for p in candidates]
+        assert expected[-1] == (-math.inf).hex() and (-math.inf).hex() not in expected[:-1]
+        values = objective._score(np.array([p.as_vector() for p in candidates[:batch]]))
+        assert [v.hex() for v in values] == expected[:batch]
+        assert objective.binned.cache_info().misses >= 3 * len(f)  # mid-fill on every plane
+        values = objective._score(np.array([p.as_vector() for p in candidates[1:]]))
+        assert [v.hex() for v in values] == expected[1:]
 
 
 # a fresh interpreter scoring a pair's four sub-bands (or the pair itself,
