@@ -20,8 +20,9 @@ so its bytes equal ``scipy.ndimage.map_coordinates(order=1,
 mode="constant")`` (the test oracle) in about half the time per pixel. It
 returns only the masked samples, all the registration objective reads, at
 the front of the per-thread arena (``_buffer``) that its next call reuses;
-``warp`` scatters one candidate's into new zeros. Its passes of 16,384 values
-(k per pixel) keep their temporaries, but the masked pixels' list, behind them.
+``warp`` scatters one candidate's into new zeros. A pass is sized by the bytes
+of its temporaries (16,384 pixels of one plane, 7,447 of a four-plane stack),
+which it keeps, but the masked pixels' list, behind the samples.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def scale_params_between_levels(params: AffineParams) -> AffineParams:
     return replace(params, tx=params.tx * 2.0, ty=params.ty * 2.0)
 
 
-# values (k planes x pixels) per ``resample`` pass, a quarter of a look-ahead
-# batch of ``pipeline``, and the arena's growth step in float64s
+# pixels of a one-plane ``resample`` pass (any pass keeps 10 * _PASS floats of temporaries),
+# a quarter of a look-ahead batch's values in ``pipeline``, the arena's step in float64s
 _PASS = 16384
 
 _local = threading.local()
@@ -125,14 +126,14 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     mask]`` byte for byte, from byte 0 of the arena, which the next call reuses.
 
     A pass resamples the whole planes of as many candidates as fit in
-    ``_PASS`` values (k per pixel), or else a block of rows (or one row) of
-    one. A pixel's weights follow SciPy's order-1 rule: with f the fraction of
-    a source coordinate, w0 = 1 - f and w1 = 1 - w0 (not always equal to f).
-    Each corner term is (v * wy) * wx, and the four terms are added to 0.0
-    in SciPy's order, as SciPy sums them, which turns a -0.0 total into
-    +0.0. On the last column or row the second corner lies outside the
-    plane, where its weight is exactly 0: its index reads the next row's
-    first pixel, or is clipped to the last pixel. So the planes must be
+    temporaries of 10 * ``_PASS`` floats, (4k + 6) a pixel, or else a block of
+    rows (or one row) of one. A pixel's weights follow SciPy's order-1 rule:
+    with f the fraction of a source coordinate, w0 = 1 - f and w1 = 1 - w0
+    (not always equal to f). Each corner term is (v * wy) * wx, and one
+    ``einsum`` adds the four to a zeroed output in SciPy's order, which turns
+    a -0.0 total into +0.0. On the last column or row the second corner lies
+    outside the plane, where its weight is exactly 0: its index reads the next
+    row's first pixel, or is clipped to the last pixel. So the planes must be
     finite (0 * NaN is NaN, where SciPy adds 0), which ``warp`` checks.
     """
     moving = np.asarray(moving, dtype=np.float64)
@@ -144,12 +145,11 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
     planes = moving.reshape(-1, height * width)
     k = len(planes)
     masks = np.empty((m.shape[2], height, width), dtype=bool)
-    rows = max(1, _PASS // (k * width))
+    rows = max(1, 10 * _PASS // ((4 * k + 6) * width))  # temporaries of 10 * _PASS floats
     group = min(len(masks), rows // height) or 1  # candidates per pass
     size = group * min(rows, height) * width  # pixels per pass
-    # one request: the samples, then per pass the corner values (where the
-    # coordinates, flags and floors live before the gather), the corner index
-    # (then the weights) and the fractions
+    # one request: the samples, then a pass's corner values (first its coordinates, flags
+    # and floors), corner index (then weights) and fractions: (4k + 6) floats a pixel
     buf = _buffer((k * masks.size + (4 * k + 6) * size,))
     samples, gathered = buf[:k * masks.size].reshape(k, -1), buf[k * masks.size:]
     weights, fractions = gathered[4 * k * size:], gathered[(4 * k + 4) * size:]
@@ -186,10 +186,10 @@ def resample(moving: np.ndarray, vectors) -> tuple[np.ndarray, np.ndarray]:
             w = weights[:4 * n].reshape(2, 2, n)  # (wy0, wx0) and (wy1, wx1), over the read index
             np.subtract(1.0, f, out=w[0])
             np.subtract(1.0, w[0], out=w[1])
-            v *= w[:, 0, None]
-            v *= w[:, 1]
-            # one reduce adds the four terms to 0.0 in order, along axis 1
-            np.add.reduce(v.reshape(k, 4, n), 1, out=samples[:, done:done + n], initial=0.0)
+            if n != 1:  # einsum adds each (v * wy) * wx to a zeroed output in (a, b) order
+                np.einsum("pabn,an,bn->pn", v, w[:, 0], w[:, 1], out=samples[:, done:done + n])
+            else:  # where it would add a lone pixel's four terms in another order
+                samples[:, done] = sum((v * w[:, 0, None] * w[:, 1]).reshape(k, 4).T, 0.0)
             done += n
     return samples[:, :done], masks
 

@@ -267,13 +267,25 @@ def _warp_cases(rng):
             center = (0.0, 0.0)
         yield stack, params if center is None else _about(params, center, stack)
     yield rng.normal(size=(2, 9, 9)), AffineParams(tx=1000.0)  # empty mask
-    # passes of 16,384 values: a plane over one pass, an integer shift onto
-    # the last row and column of a 256x256 plane, a row wider than a pass,
-    # and two planes whose pass ends mid-plane (81 of 100 rows)
+    # passes of 163,840 floats of temporaries, 4k + 6 a pixel: a plane over one
+    # pass, an integer shift onto the last row and column of a 256x256 plane,
+    # a row wider than a pass, and passes that end mid-plane, at 117 of 150
+    # rows of two planes and at 74 of 100 rows of four
     yield rng.normal(size=(1, 150, 150)), AffineParams(tx=0.7, ty=-1.3, theta=0.1, k=0.05)
     yield rng.normal(size=(1, 256, 256)), AffineParams(tx=1.0, ty=2.0)
     yield rng.normal(size=(1, 1, 20_000)), AffineParams(tx=2.5)
-    yield rng.normal(size=(2, 100, 100)), AffineParams(tx=-0.4, ty=0.3, sx=1.1, k=0.05)
+    yield rng.normal(size=(2, 150, 100)), AffineParams(tx=-0.4, ty=0.3, sx=1.1, k=0.05)
+    yield rng.normal(size=(4, 100, 100)), AffineParams(tx=0.6, ty=-0.2, theta=-0.05, sy=0.95)
+    # signed planes, as sub-bands are: -0.0 and negative pixels, at an integer
+    # shift (terms of weight 0 or 1, summed from +0.0) and a fractional one
+    signed = rng.normal(size=(4, 24, 20))
+    signed[rng.random(signed.shape) < 0.4] = -0.0
+    yield signed, AffineParams(tx=2.0, ty=-1.0)
+    yield signed, AffineParams(tx=0.25, ty=-0.75, theta=0.05)
+    # one masked pixel half a pixel from its corners: its terms 1, 0, 2**-53
+    # and 2**-53 sum to 1 in order, and to 1 + 2**-52 in the pairwise order
+    # that einsum gives a lone pixel
+    yield np.array([[[4.0, 0.0], [2.0**-51, 2.0**-51]]]), AffineParams(tx=0.5, ty=0.5)
     # a zero shift of a lone pixel, turned by pi about it (the origin): its
     # coordinates' products are -0.0 before the translation adds +0.0, and
     # it is a pass of one masked pixel
@@ -354,15 +366,45 @@ def test_warp_threads_keep_their_own_buffers():
 
 
 def test_resample_keeps_one_pass_of_temporaries():
-    """A call on a 256x256 plane keeps its 65,536 samples and one 16,384-value
+    """A call on a 256x256 plane keeps its 65,536 samples and one 16,384-pixel
     pass of temporaries (corner values, corner index and fractions: 10 floats
-    a pixel) per thread, 1,835,008 bytes, and nothing more."""
-    def call():
-        resample(np.ones((1, 256, 256)), AffineParams(tx=0.5, theta=0.1).as_vector())
+    a pixel) per thread, 1,835,008 bytes, and nothing more. A 4x128x128 stack
+    keeps as many samples and a pass of 58 rows at 22 floats a pixel: 1,830,912
+    bytes, under the same bound."""
+    def call(shape):
+        resample(np.ones(shape), AffineParams(tx=0.5, theta=0.1).as_vector())
         return sum(buf.nbytes for buf in vars(transform._local).values())
 
-    with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread keeps nothing yet
-        assert pool.submit(call).result(timeout=60) <= 1_835_008
+    for shape in [(1, 256, 256), (4, 128, 128)]:
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a new thread keeps nothing yet
+            assert pool.submit(call, shape).result(timeout=60) <= 1_835_008, shape
+
+
+def test_einsum_adds_the_corner_terms_in_scipy_order():
+    """``resample``'s ``einsum`` call gives the bytes of the three steps it
+    replaced, each term (v * wy) * wx and the four summed from +0.0 in (a, b)
+    order, on random (k, 2, 2, n) stacks with signed zeros, subnormals, huge
+    magnitudes and weights of exactly 0 and 1. A lone pixel (n = 1) is left
+    out: einsum sums its terms pairwise, so ``resample`` adds them itself (the
+    2x2 plane of ``_warp_cases``)."""
+    rng = np.random.default_rng(30)
+    for _ in range(400):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(2, 300))
+        v = rng.normal(size=(k, 2, 2, n)) * 10.0 ** rng.choice([-310, -5, 0, 5, 300], (k, 2, 2, n))
+        v[rng.random(v.shape) < 0.2] = 0.0
+        v[rng.random(v.shape) < 0.3] *= -1.0  # -0.0 among the zeros
+        f = rng.random((2, n))
+        f[rng.random(f.shape) < 0.3] = 0.0  # weights of exactly 1 and 0
+        w = np.empty((2, 2, n))
+        np.subtract(1.0, f, out=w[0])
+        np.subtract(1.0, w[0], out=w[1])
+        terms = v * w[:, 0, None]
+        terms *= w[:, 1]
+        expected = np.add.reduce(terms.reshape(k, 4, n), 1, initial=0.0)
+        got = np.einsum("pabn,an,bn->pn", v, w[:, 0], w[:, 1], out=np.empty((k, n)))
+        assert got.tobytes() == expected.tobytes(), (
+            f"np.einsum under NumPy {np.__version__} no longer adds (v * wy) * wx from +0.0 in "
+            "(a, b) order: resample's bytes would leave map_coordinates'")
 
 
 def test_center_adjusted_bytes_equal_matrix_formula():
