@@ -62,8 +62,9 @@ class FixtureSpec:
             raise ValueError(f"size must be >= 64, got {self.size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.noise_sigma < math.inf:  # also rejects NaN
-            raise ValueError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
+        # NumPy's normal deviates are under 13 (its ziggurat's tail): the noise stays finite
+        if not 0 <= self.noise_sigma * INTENSITY_RANGE * 16 < math.inf:  # also rejects NaN
+            raise ValueError(f"noise_sigma must be >= 0 with finite noise, got {self.noise_sigma}")
         # a NaN gamma would reach truth.json as the non-JSON token NaN
         if not math.isfinite(self.gamma) or self.remap == "gamma" and self.gamma <= 0:
             raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")

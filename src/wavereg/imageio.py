@@ -142,11 +142,7 @@ def remap_intensity(image: np.ndarray, mode: str, gamma: float = 2.0) -> np.ndar
     raise ValueError(f"unknown remap mode {mode!r}")
 
 
-def overlay_diff(
-    fixed: np.ndarray,
-    registered: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
+def overlay_diff(fixed: np.ndarray, registered: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Grey/fuchsia difference overlay.
 
     Both images are normalized to their joint masked intensity range.

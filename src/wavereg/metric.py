@@ -10,9 +10,9 @@ Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
 and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
-with the top edge counted in the last bin. All binning and MI temporaries
-but the list of nonzero cells live in the per-thread arena reused from call
-to call (``transform._buffer``). One ``np.bincount`` fills the joint histogram.
+with the top edge counted in the last bin. All binning, MI and correlation
+temporaries but the lists of nonzero cells and masked pixels live in the
+per-thread arena (``transform._buffer``). One ``np.bincount`` fills the joint histogram.
 """
 
 from __future__ import annotations
@@ -106,12 +106,8 @@ def _check_bins(bins) -> None:
         raise ValueError(f"histogram_bins must be >= 2 and <= {MAX_HISTOGRAM_BINS}, got {bins}")
 
 
-def joint_histogram(
-    fixed: np.ndarray,
-    moving: np.ndarray,
-    mask: np.ndarray,
-    bins: int = 50,
-) -> JointHistogram:
+def joint_histogram(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray,
+                    bins: int = 50) -> JointHistogram:
     """Accumulate the joint intensity histogram over the masked overlap, binning
     both images whole in the arena with their unmasked pixels at the range's low end."""
     _check_bins(bins)
@@ -170,18 +166,22 @@ def mi_between(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray, bins: in
 
 
 def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    """Pearson r between the masked intensities of two images."""
+    """Pearson r between the masked intensities of two images, from ``np.sum``s over
+    masked copies in the arena from byte 0, so neither argument may live there."""
     a, b, mask = _image_mask(a, b, mask)
-    dx, dy = a[mask], b[mask]  # new arrays, centered in place
-    if dx.size < 2:
+    index = np.flatnonzero(mask)
+    if index.size < 2:
         raise ValueError("need at least 2 masked pixels for correlation")
-    if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
-        raise ValueError("non-finite intensities in the overlap")
-    for d in (dx, dy):  # scaled by a power of two (exact, r unchanged) so no sum overflows
-        np.ldexp(d, -np.frexp(np.abs(d).max())[1], out=d)
+    dx, dy, product = _buffer((3, index.size))
+    for x, d in ((a, dx), (b, dy)):  # "clip" takes write straight into out=
+        top = np.abs(x.take(index, out=d, mode="clip"), out=product).max()
+        if not np.isfinite(top):
+            raise ValueError("non-finite intensities in the overlap")
+        np.ldexp(d, -np.frexp(top)[1], out=d)  # a power of two (exact): no sum overflows
         d -= d.mean()
-    denom = np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy))
+    denom = np.sqrt(np.sum(np.multiply(dx, dx, out=product)))
+    denom *= np.sqrt(np.sum(np.multiply(dy, dy, out=product)))
     if denom == 0:
         raise ValueError("undefined correlation: zero variance over the mask")
-    r = float(np.sum(dx * dy) / denom)
+    r = float(np.sum(np.multiply(dx, dy, out=product)) / denom)
     return min(1.0, max(-1.0, r))

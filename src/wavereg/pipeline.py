@@ -210,19 +210,22 @@ def register(
 ) -> RegistrationResult:
     """Register ``moving`` onto ``fixed`` with ``config.method``.
 
-    Every method starts its coarsest level from the identity and warps the
-    finest moving level once: the image, or the sub-bands that the sub-band
-    methods inverse transform. The returned params are in full-resolution
+    Every method starts its coarsest level from the identity and warps the finest
+    moving level once: the image, or the sub-bands that the sub-band methods inverse
+    transform. Only that level outlives the search, which frees the objectives, their
+    cached tables and the other levels. The returned params are in full-resolution
     coordinates: the sub-band methods double their half-resolution result.
     """
     config.validate()
     fixed, moving = _check_inputs(fixed, moving)
     haar = config.method != "pyramid"
     levels = 1 if config.method == "wavelet" else config.pyramid_levels
-    pyramids = [build_pyramid(dwt2(x) if haar else x[None], levels) for x in (fixed, moving)]
-    objectives = [_LevelObjective(f, m, config.histogram_bins) for f, m in zip(*pyramids)]
+    objectives = [_LevelObjective(f, m, config.histogram_bins) for f, m in zip(*(
+        build_pyramid(dwt2(x) if haar else x[None], levels) for x in (fixed, moving)))]
+    finest = objectives[0].moving
     params, traces = _coarse_to_fine(objectives, config)
-    warped, mask = warp(pyramids[1][0], params)  # the finest moving level, for every method
+    del objectives  # and with them every level but the finest moving one
+    warped, mask = warp(finest, params)  # the finest moving level, for every method
     registered = idwt2(warped, fixed.shape) if haar else warped[0]
     if haar:  # the sub-band mask upsampled 2x (nearest neighbor) and cropped
         mask = np.kron(mask, np.ones((2, 2), dtype=bool))[:fixed.shape[0], :fixed.shape[1]]

@@ -25,17 +25,18 @@ def dwt2(image: np.ndarray) -> np.ndarray:
     height, width = image.shape
     if width < 2 or height < 2:
         raise ValueError("image too small for DWT (needs at least 2x2)")
-    image = np.pad(image, ((0, height % 2), (0, width % 2)), mode="edge")
-    a = image[0::2, 0::2]
-    b = image[0::2, 1::2]
-    c = image[1::2, 0::2]
-    d = image[1::2, 1::2]
-    return np.stack([
-        (a + b + c + d) / 2.0,
-        (a - b + c - d) / 2.0,
-        (a + b - c - d) / 2.0,
-        (a - b - c + d) / 2.0,
-    ])
+    if height % 2 or width % 2:  # a copy; an even image is blocked in place
+        image = np.pad(image, ((0, height % 2), (0, width % 2)), mode="edge")
+    (a, b), (c, d) = image.reshape(-(-height // 2), 2, -1, 2).transpose(1, 3, 0, 2)
+    out = np.empty((4, *a.shape))  # each band's sum in place, in the order above
+    np.add(a, b, out=out[0])
+    np.subtract(a, b, out=out[1])
+    np.subtract(out[:2], c, out=out[2:])
+    out[:2] += c
+    out[::3] += d
+    out[1:3] -= d
+    out /= 2.0
+    return out
 
 
 def idwt2(bands: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -64,6 +64,7 @@ def test_synth_unusable_transform_exit_1(tmp_path, capsys):
     (["--remap", "gamma", "--gamma", "0"], "gamma"),
     (["--noise-sigma", "nan"], "noise_sigma"),
     (["--noise-sigma", "inf"], "noise_sigma"),
+    (["--noise-sigma", "1e308"], "noise_sigma"),  # a finite sigma whose noise overflows
     (["--gamma", "nan"], "gamma"),  # the default remap does not use gamma
     (["--theta-deg", "nan"], "theta"),
     (["--tx", "inf"], "tx"),

@@ -106,6 +106,21 @@ def test_spec_validation():
         FixtureSpec(noise_sigma=-0.1).validate()
 
 
+@pytest.mark.parametrize("sigma", [1e308, 3e305])
+def test_spec_refuses_a_noise_sigma_whose_noise_overflows(sigma):
+    # validate let both through and generate_pair returned a moving image with
+    # inf pixels: at 1e308 the noise scale (sigma * 255) overflows; at 3e305 it
+    # is finite, but a normal deviate above about 2.35 of it is not
+    with pytest.raises(ValueError, match="^noise_sigma must be >= 0 with finite noise"):
+        generate_pair(FixtureSpec(size=64, noise_sigma=sigma))
+
+
+def test_the_largest_noise_sigmas_give_finite_pixels():
+    for sigma in (np.finfo(np.float64).max / 8192, 1e300):
+        _, moving, _ = generate_pair(FixtureSpec(size=64, noise_sigma=sigma, seed=1))
+        assert np.isfinite(moving).all() and moving.max() > 1e290
+
+
 def test_spec_rejects_a_negative_seed():
     # a negative seed failed in NumPy for the noise pattern, and was written
     # to truth.json for the others, whose noise uses seed + 1

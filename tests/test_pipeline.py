@@ -466,8 +466,10 @@ def test_golden_digest(method):
     """Results stay bit for bit what they were: SHA-256 of params,
     registered image, mask and final MI, the recipe of
     ``perfbench/checks.digest``. The digests were recorded with NumPy 2.4.6
-    and SciPy 1.17.1 and are tied to that build: another NumPy may round a
-    reduction differently and change them with no change in wavereg."""
+    and SciPy 1.17.1 and are tied to that build and to the CPU's SIMD level:
+    another NumPy may round a reduction differently, and NumPy picks its
+    ``np.log2`` kernel by the SIMD level (without AVX512_SKX it differs by an
+    ulp on some inputs), so either can change them with no change in wavereg."""
     fixed, moving = _rotated_invert_pair()
     case, fields, (h, w) = GOLDEN_CASES.get(method, (method, {}, (64, 64)))
     r = register(fixed[:h, :w], moving[:h, :w], RegistrationConfig(
@@ -700,6 +702,34 @@ def test_level_objective_is_freed_by_reference_counting():
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
+def test_no_level_objective_outlives_the_search(method, monkeypatch):
+    """``register`` drops its level objectives, and with them their cached
+    tables and every pyramid level but the finest moving one, before the final
+    warp: at that warp no objective is alive, even after a garbage collection."""
+    made, alive, at_warp = [], weakref.WeakSet(), []
+    init = _LevelObjective.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        made.append(None)  # a count: holding self would keep it alive
+        alive.add(self)
+
+    def final_warp(moving, params):
+        gc.collect()
+        at_warp.append(len(alive))
+        return warp(moving, params)
+
+    monkeypatch.setattr(_LevelObjective, "__init__", tracked)
+    monkeypatch.setattr(pipeline, "warp", final_warp)
+    fixed = _phantom()
+    r = register(fixed, np.roll(fixed, 1, axis=1), RegistrationConfig(
+        method=method, optimizer=OptimizerConfig(max_iterations=20)))
+    assert len(made) == (1 if method == "wavelet" else 3)
+    assert at_warp == [0]
+    assert r.registered.shape == fixed.shape
 
 
 def test_a_kept_result_holds_its_traces_as_tables():
