@@ -27,7 +27,7 @@ def dwt2(image: np.ndarray) -> np.ndarray:
         raise ValueError("image too small for DWT (needs at least 2x2)")
     if height % 2 or width % 2:  # a copy; an even image is blocked in place
         image = np.pad(image, ((0, height % 2), (0, width % 2)), mode="edge")
-    (a, b), (c, d) = image.reshape(-(-height // 2), 2, -1, 2).transpose(1, 3, 0, 2)
+    (a, b), (c, d) = image.reshape(len(image) // 2, 2, -1, 2).transpose(1, 3, 0, 2)
     out = np.empty((4, *a.shape))  # each band's sum in place, in the order above
     np.add(a, b, out=out[0])
     np.subtract(a, b, out=out[1])
