@@ -381,7 +381,7 @@ def test_repeated_correlation_allocates_one_index_of_the_overlap():
     """After one warm call on a 256x256 pair, ``correlation_coefficient`` keeps its
     masked copies and products in the arena: at its peak a repeated call has
     allocated under 600 KiB of traced memory, the 512 KiB list of masked pixels and
-    little more (fresh copies and a product took 1.5 MB), and it returns the same bits."""
+    little more (fresh copies and a product took 1.56 MB), and it returns the same bits."""
     rng = np.random.default_rng(5)
     fixed = rng.uniform(size=(256, 256))
     moving, mask = warp(rng.uniform(size=(256, 256)), AffineParams(tx=0.5, ty=-0.25))
