@@ -64,12 +64,12 @@ def test_synth_unusable_transform_exit_1(tmp_path, capsys):
     (["--remap", "gamma", "--gamma", "0"], "gamma"),
     (["--noise-sigma", "nan"], "noise_sigma"),
     (["--noise-sigma", "inf"], "noise_sigma"),
-    (["--noise-sigma", "1e308"], "noise_sigma"),  # a finite sigma whose noise overflows
     (["--gamma", "nan"], "gamma"),  # the default remap does not use gamma
     (["--theta-deg", "nan"], "theta"),
     (["--tx", "inf"], "tx"),
     (["--sx", "nan"], "sx"),
     (["--shear", "nan"], "k"),
+    (["--noise-sigma", "1e308"], "noise_sigma"),  # a finite sigma whose noise overflows
 ])
 def test_synth_non_finite_setting_writes_nothing(tmp_path, capsys, option, field):
     # a NaN gamma used to write a moving.pgm of only 0 and 255, and a NaN
