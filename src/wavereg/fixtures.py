@@ -57,11 +57,8 @@ class FixtureSpec:
     def validate(self) -> None:
         if self.base_pattern not in PATTERNS:
             raise ValueError(f"unknown base pattern {self.base_pattern!r}")
-        _check_integers(size=self.size, seed=self.seed)
-        if self.size < 64:
-            raise ValueError(f"size must be >= 64, got {self.size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_integers(64, size=self.size)
+        _check_integers(0, seed=self.seed)
         # NumPy's normal deviates are under 13 (its ziggurat's tail): the noise stays finite
         if not 0 <= self.noise_sigma * INTENSITY_RANGE * 16 < math.inf:  # also rejects NaN
             raise ValueError(f"noise_sigma must be >= 0 with finite noise, got {self.noise_sigma}")

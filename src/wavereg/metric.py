@@ -101,8 +101,8 @@ MAX_HISTOGRAM_BINS = 1024  # a joint histogram holds bins * bins counts: 8 MiB h
 
 
 def _check_bins(bins) -> None:
-    _check_integers(histogram_bins=bins)
-    if not 2 <= bins <= MAX_HISTOGRAM_BINS:
+    _check_integers(2, histogram_bins=bins)
+    if bins > MAX_HISTOGRAM_BINS:
         raise ValueError(f"histogram_bins must be >= 2 and <= {MAX_HISTOGRAM_BINS}, got {bins}")
 
 

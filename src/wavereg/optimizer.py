@@ -35,10 +35,14 @@ PARAM_SCALES = (500.0, 500.0, 20.0, 3.0, 3.0, 3.0)
 WINDOW = 16  # candidates planned ahead, for an objective that scores several per call
 
 
-def _check_integers(**values) -> None:
+def _check_integers(minimum: int, **values) -> None:
+    """The one rule for integer settings: every value's type first, then every bound."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value}")
+    for name, value in values.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass
@@ -47,11 +51,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_integers(max_iterations=self.max_iterations, seed=self.seed)
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_integers(0, max_iterations=self.max_iterations, seed=self.seed)
 
 
 @dataclass

@@ -53,9 +53,7 @@ class RegistrationConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        _check_integers(pyramid_levels=self.pyramid_levels)
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be >= 1")
+        _check_integers(1, pyramid_levels=self.pyramid_levels)
         _check_bins(self.histogram_bins)
         self.optimizer.validate()
 

@@ -78,9 +78,7 @@ def build_pyramid(image: np.ndarray, num_levels: int) -> list[np.ndarray]:
     Levels whose smaller dimension would drop below ``MIN_LEVEL_SIZE`` are
     not built, so the list can be shorter than ``num_levels``.
     """
-    _check_integers(num_levels=num_levels)
-    if num_levels < 1:
-        raise ValueError(f"num_levels must be >= 1, got {num_levels}")
+    _check_integers(1, num_levels=num_levels)
     levels = [np.asarray(image, dtype=np.float64)]
     if levels[0].ndim not in (2, 3):
         raise ValueError(f"expected (H, W) or (k, H, W) array, got shape {levels[0].shape}")

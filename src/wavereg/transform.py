@@ -44,6 +44,10 @@ class AffineParams:
     k: float = 0.0
 
     def as_vector(self) -> np.ndarray:
+        """The (6,) row of the parameters in field order, each finite."""
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         return np.array([self.tx, self.ty, self.theta, self.sx, self.sy, self.k])
 
 
@@ -77,9 +81,6 @@ def invert_params(params: AffineParams) -> AffineParams:
     triangular (positive diagonal); the translation inverts to -A^{-1} t,
     independent of the center. Params must be finite; then a non-finite inverse means a singular A.
     """
-    for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
     a = _center_adjusted(params.as_vector(), (0.0, 0.0))[0, :, :2]
     with np.errstate(all="ignore"):  # a zero det, or one whose 1 / det overflows: inf or NaN
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]

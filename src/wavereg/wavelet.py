@@ -1,14 +1,14 @@
 """Single-level 2-D orthonormal Haar analysis and synthesis.
 
-The forward transform operates on non-overlapping 2x2 blocks
-``[[a, b], [c, d]]``::
+The forward transform operates on non-overlapping 2x2 blocks ``[[a, b], [c, d]]``::
 
     LL = (a + b + c + d) / 2      LH = (a - b + c - d) / 2
     HL = (a + b - c - d) / 2      HH = (a - b - c + d) / 2
 
 LH carries column-wise (horizontal) differences, HL row-wise (vertical)
-ones. Odd dimensions are edge-replicated to even size before blocking and
-synthesis crops back to the original dimensions it is given.
+ones. Odd dimensions are edge-replicated to even size before blocking. The
+transform is its own inverse: synthesis is ``dwt2`` of the bands laid out as
+the blocks ``[[LL, LH], [HL, HH]]``, its planes laid out alike, then cropped.
 """
 
 from __future__ import annotations
@@ -40,13 +40,9 @@ def dwt2(image: np.ndarray) -> np.ndarray:
 
 
 def idwt2(bands: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Invert :func:`dwt2` on a (4, H', W') stack, cropping to ``shape``,
-    the (height, width) of the image it came from."""
-    ll, lh, hl, hh = np.asarray(bands, dtype=np.float64)
-    height, width = ll.shape
-    out = np.empty((2 * height, 2 * width), dtype=np.float64)
-    out[0::2, 0::2] = (ll + lh + hl + hh) / 2.0
-    out[0::2, 1::2] = (ll - lh + hl - hh) / 2.0
-    out[1::2, 0::2] = (ll + lh - hl - hh) / 2.0
-    out[1::2, 1::2] = (ll - lh - hl + hh) / 2.0
-    return out[: shape[0], : shape[1]]
+    """Invert :func:`dwt2` on a (4, H', W') stack, cropping to the (height, width) ``shape``."""
+    _, h, w = np.shape(bands)
+
+    def blocks(planes):  # planes 0-3 as the 2x2 blocks [[0, 1], [2, 3]] of one (2h, 2w) image
+        return np.reshape(planes, (2, 2, h, w)).transpose(2, 0, 3, 1).reshape(2 * h, 2 * w)
+    return blocks(dwt2(blocks(bands)))[: shape[0], : shape[1]]

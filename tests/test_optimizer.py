@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 from dataclasses import astuple
 from types import SimpleNamespace
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import wavereg.optimizer
-from wavereg import AffineParams, OptimizerConfig
+from wavereg import AffineParams, OptimizerConfig, RegistrationConfig
+from wavereg.fixtures import FixtureSpec
 from wavereg.optimizer import (
     EPSILON,
     GROWTH_FACTOR,
@@ -22,6 +24,7 @@ from wavereg.optimizer import (
     optimize,
     trace_to_csv,
 )
+from wavereg.pyramid import build_pyramid
 
 
 def quadratic(p, ahead=()):
@@ -161,6 +164,31 @@ def test_config_validation():
     # rejected it, after the coarser levels had run
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         OptimizerConfig(seed=-1).validate()
+
+
+@pytest.mark.parametrize("check, message", [
+    pytest.param(lambda: OptimizerConfig(max_iterations=-1).validate(),
+                 "max_iterations must be >= 0, got -1", id="max_iterations"),
+    pytest.param(lambda: OptimizerConfig(seed=-1).validate(), "seed must be >= 0, got -1",
+                 id="optimizer-seed"),
+    pytest.param(lambda: RegistrationConfig(pyramid_levels=0).validate(),
+                 "pyramid_levels must be >= 1, got 0", id="pyramid_levels"),
+    pytest.param(lambda: build_pyramid(np.zeros((8, 8)), 0), "num_levels must be >= 1, got 0",
+                 id="num_levels"),
+    pytest.param(lambda: FixtureSpec(size=63).validate(), "size must be >= 64, got 63", id="size"),
+    pytest.param(lambda: FixtureSpec(seed=-1).validate(), "seed must be >= 0, got -1",
+                 id="fixture-seed"),
+    pytest.param(lambda: RegistrationConfig(histogram_bins=1).validate(),
+                 "histogram_bins must be >= 2, got 1", id="histogram_bins"),
+    # every value's type is checked before any bound, so the type error names its setting
+    pytest.param(lambda: OptimizerConfig(max_iterations=-1, seed=1.5).validate(),
+                 "seed must be an integer, got 1.5", id="type-before-bound"),
+])
+def test_every_integer_setting_below_its_minimum_names_it(check, message):
+    # max_iterations and pyramid_levels did not say the value, and
+    # histogram_bins=1 quoted the upper bound too
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check()
 
 
 def test_trace_is_one_table_with_read_only_records(trans_only):

@@ -131,6 +131,15 @@ def test_invert_params_names_a_non_finite_parameter(field, value):
         invert_params(replace(AffineParams(), **{field: value}))
 
 
+@pytest.mark.parametrize("field, value", [("theta", math.nan), ("tx", math.inf), ("sx", math.nan),
+                                          ("sy", -math.inf), ("k", math.inf)])
+def test_warp_names_a_non_finite_parameter(field, value):
+    # theta=nan, tx=inf and sx=nan warped to all zeros under an empty mask
+    # without an error, and k=inf did so with RuntimeWarnings
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+        warp(np.ones((8, 8)), replace(AffineParams(), **{field: value}))
+
+
 def test_scale_params_between_levels():
     p = AffineParams(tx=1.5, ty=-2, theta=0.3, sx=1.1, sy=0.9, k=0.05)
     q = scale_params_between_levels(p)

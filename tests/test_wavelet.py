@@ -64,3 +64,32 @@ def test_wrong_rank_input_is_named():
     for shape in ((2, 4, 4), (8,)):
         with pytest.raises(ValueError, match=re.escape(f"expected (H, W) array, got shape {shape}")):
             dwt2(np.ones(shape))
+
+
+def _synthesis_formulas(bands, shape):
+    # idwt2's own four formulas before it became dwt2 of the bands laid out as blocks
+    ll, lh, hl, hh = bands
+    height, width = ll.shape
+    out = np.empty((2 * height, 2 * width), dtype=np.float64)
+    out[0::2, 0::2] = (ll + lh + hl + hh) / 2.0
+    out[0::2, 1::2] = (ll - lh + hl - hh) / 2.0
+    out[1::2, 0::2] = (ll + lh - hl - hh) / 2.0
+    out[1::2, 1::2] = (ll - lh - hl + hh) / 2.0
+    return out[: shape[0], : shape[1]]
+
+
+def test_idwt2_equals_the_synthesis_formulas_byte_for_byte():
+    # dwt2 sums ((a +- b) +- c) +- d and halves it, the formulas' order term for term;
+    # the stacks mix +-0.0, subnormals, sums that overflow and infinities that cancel into NaN
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        h, w = (int(n) for n in rng.integers(1, 40, size=2))
+        shape = (2 * h - int(rng.integers(0, 2)), 2 * w - int(rng.integers(0, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e-310 is subnormal, 1e309 inf
+            scales = 10.0 ** rng.choice([-310, -300, -1, 0, 2, 300, 308, 309], (4, h, w))
+            bands = rng.uniform(-1.0, 1.0, (4, h, w)) * scales
+            bands[rng.random(bands.shape) < 0.3] = -0.0
+            bands[rng.random(bands.shape) < 0.1] = 0.0
+            expected, got = _synthesis_formulas(bands, shape), idwt2(bands, shape)
+        assert got.shape == expected.shape == shape
+        assert got.tobytes() == expected.tobytes()
