@@ -461,6 +461,22 @@ GOLDEN_CASES = {
 }
 
 
+# the same registrations' params, registered image and mask: _digest without the final MI
+GOLDEN_GEOMETRY = {
+    "pyramid": "19f6ac8dc177f94cbb20bd797bf70046805e5d5fbd696a15833f7f65c757df34",
+    "wavelet": "30a184c33b34a62fa03374a027d6e4e617e2f2e8c65b1f23107198e0558c98be",
+    "dwt_pyramid": "02130bdd9c300b1a274e9cf6923876c95780fcaf7cb8af8a390018e312c98a70",
+    "dwt_pyramid-61x59": "8bfeb49491f7f1cab840985797d7621054c94b9294a47aeb8f37f035410ff09a",
+}
+
+
+def _golden_result(method):
+    fixed, moving = _rotated_invert_pair()
+    case, fields, (h, w) = GOLDEN_CASES.get(method, (method, {}, (64, 64)))
+    return register(fixed[:h, :w], moving[:h, :w], RegistrationConfig(
+        method=case, optimizer=OptimizerConfig(seed=9, max_iterations=40), **fields))
+
+
 @pytest.mark.parametrize("method", sorted(GOLDEN_DIGESTS))
 def test_golden_digest(method):
     """Results stay bit for bit what they were: SHA-256 of params,
@@ -470,11 +486,17 @@ def test_golden_digest(method):
     another NumPy may round a reduction differently, and NumPy picks its
     ``np.log2`` kernel by the SIMD level (without AVX512_SKX it differs by an
     ulp on some inputs), so either can change them with no change in wavereg."""
-    fixed, moving = _rotated_invert_pair()
-    case, fields, (h, w) = GOLDEN_CASES.get(method, (method, {}, (64, 64)))
-    r = register(fixed[:h, :w], moving[:h, :w], RegistrationConfig(
-        method=case, optimizer=OptimizerConfig(seed=9, max_iterations=40), **fields))
-    assert _digest(r) == GOLDEN_DIGESTS[method], f"digest differs under {_numpy_build()}"
+    assert _digest(_golden_result(method)) == GOLDEN_DIGESTS[method], \
+        f"digest differs under {_numpy_build()}"
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_GEOMETRY))
+def test_golden_geometry(method):
+    """The golden cases' geometry, their digest without the final MI, is
+    pinned apart from MI, so a change declared to move only MI values can
+    show that no transform, image or mask moved with them."""
+    assert _digest(_golden_result(method), final_mi=False) == GOLDEN_GEOMETRY[method], \
+        f"geometry differs under {_numpy_build()}"
 
 
 def _numpy_build():
@@ -485,13 +507,14 @@ def _numpy_build():
     return ", ".join((f"numpy {np.__version__}", *flags))
 
 
-def _digest(result):
-    """SHA-256 of a result's params, registered image, mask and final MI."""
+def _digest(result, final_mi=True):
+    """SHA-256 of a result's params, registered image, mask and, if ``final_mi``, final MI."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.params.as_vector(), dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(result.registered, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(result.mask, dtype=bool).tobytes())
-    h.update(struct.pack("<d", result.final_mi_bits))
+    if final_mi:
+        h.update(struct.pack("<d", result.final_mi_bits))
     return h.hexdigest()
 
 
