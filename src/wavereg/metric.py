@@ -11,8 +11,10 @@ and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
 with the top edge counted in the last bin. All binning, MI and correlation
-temporaries but the lists of nonzero cells and masked pixels live in the
-per-thread arena (``transform._buffer``). One ``np.bincount`` fills the joint histogram.
+temporaries but the list of masked pixels live in the per-thread arena
+(``transform._buffer``). One ``np.bincount`` fills the joint histogram. MI is
+H(F) + H(M) - H(F, M) from the integer counts, one ``np.add.reduce`` per
+histogram of a stack, clamped at 0: never below 0 and never -0.0.
 """
 
 from __future__ import annotations
@@ -137,27 +139,25 @@ def joint_histogram(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray,
     return JointHistogram(counts=counts.reshape(bins, bins).astype(np.float64), total=float(total))
 
 
-def _mi_bits(counts: np.ndarray, total) -> list[float]:
-    """MI in bits of each (b, b) histogram of ``total`` samples (or (n, 1, 1) totals) in a
-    stack of counts: ``np.sum``'s pairwise ``np.add.reduce`` over its own nonzero cells.
+def _mi_bits(counts: np.ndarray, total) -> np.ndarray:
+    """MI in bits (>= 0) of each histogram in an (n, b, b) stack of counts of ``total`` (or
+    (n,)) samples: log2 n + (sum c log2 c over the cells - over the row and column sums) / n.
     Its temporaries fill the arena from byte 0, so neither argument may live there."""
-    p = np.divide(counts, total, out=_buffer(counts.shape))
-    # one product a cell (a broadcast multiply would allocate buffers for its operands)
-    outer = np.einsum("ni,nj->nij", np.add.reduce(p, 2), np.add.reduce(p, 1),
-                      out=_buffer(counts.shape, start=p.nbytes))
-    nz = np.flatnonzero(np.greater(p, 0, out=_buffer(counts.shape, bool, 2 * p.nbytes)))
-    # terms: cells * log2(cells / outer), in place; "clip" takes write straight into out=
-    cells, terms = (x.take(nz, out=_buffer(nz.shape, start=i * p.nbytes), mode="clip")
-                    for i, x in ((2, p), (3, outer)))
-    np.log2(np.divide(cells, terms, out=terms), out=terms)
-    terms *= cells
-    stops = np.searchsorted(nz, np.arange(1, len(p) + 1) * p[0].size).tolist()
-    return [float(np.add.reduce(terms[a:b])) for a, b in zip([0] + stops, stops)]
+    n, b = len(counts), counts.shape[-1]
+    c, terms = _buffer((2, n, b * b + 2 * b))  # the cells, then the row and column sums
+    cells = c[:, :b * b].reshape(n, b, b)
+    np.copyto(cells, counts)
+    np.einsum("nij->ni", cells, out=c[:, b * b:-b])  # exact, as every sum of counts
+    np.einsum("nij->nj", cells, out=c[:, -b:])
+    np.log2(np.maximum(c, 1.0, out=terms), out=terms)  # an empty cell adds 0 * log2 1
+    terms *= c
+    terms[:, b * b:] *= -1
+    return np.maximum(np.add.reduce(terms, 1) / total + np.log2(total), 0.0)
 
 
 def mutual_information(hist: JointHistogram) -> float:
     """MI in bits: sum p(l,k) log2[p(l,k) / (p_Z(k) p_N(l))], zero cells skipped."""
-    return 0.0 if hist.degenerate else _mi_bits(hist.counts[None], hist.total)[0]
+    return 0.0 if hist.degenerate else float(_mi_bits(hist.counts[None], hist.total)[0])
 
 
 def mi_between(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray, bins: int = 50) -> float:

@@ -197,8 +197,8 @@ class _LevelObjective:
             tables += np.arange(0, len(counts) * self.cells, self.cells, dtype=np.uint32)[:, None]
         cell += tables[np.broadcast_to(inside, tables.shape).copy()].reshape(cell.shape)
         hist = np.bincount(cell.ravel(), minlength=len(counts) * self.cells)
-        mis = np.reshape(_mi_bits(hist.reshape(-1, self.bins, self.bins),
-                                  np.repeat(counts, len(cell))[:, None, None]), (len(counts), -1))
+        mis = _mi_bits(hist.reshape(-1, self.bins, self.bins),
+                       np.repeat(counts, len(cell))).reshape(len(counts), -1)
         # a flat pair adds +0.0, which never changes a sum from +0.0 of MIs
         return np.add.reduce(np.where(flat, 0.0, mis.T), 0, initial=0.0).tolist()
 

@@ -1,5 +1,6 @@
 """Joint histogram, mutual information and correlation tests."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from wavereg.metric import (
     JointHistogram,
     _bin_index,
     _degenerate,
+    _mi_bits,
     correlation_coefficient,
     joint_histogram,
     mi_between,
@@ -114,6 +116,76 @@ def test_mi_self_is_entropy():
     p = p[p > 0]
     entropy = float(-(p * np.log2(p)).sum())
     assert mi_between(img, img, mask) == pytest.approx(entropy, abs=1e-9)
+
+
+def _nonzero_cell_mi(counts, total):
+    """The oracle: sum p log2(p / (p_row p_col)) over the nonzero cells of one
+    histogram, the formula MI was computed by before it was summed from counts."""
+    p = counts / total
+    outer = np.outer(p.sum(1), p.sum(0))
+    nz = p > 0
+    return float(np.sum(p[nz] * np.log2(p[nz] / outer[nz])))
+
+
+def _random_histograms(rng):
+    """(b, counts) stacks of 2 to 64 bins, sparse to full, with single-cell
+    histograms, empty rows and columns, and totals up to 2**20."""
+    for b in (2, 3, 4, 7, 8, 16, 25, 32, 50, 64):
+        for n in (1, 5):
+            dense = rng.multinomial(int(rng.integers(1, 2 ** 20 + 1)),
+                                    rng.dirichlet(np.full(b * b, 0.3)), size=n)
+            stack = dense.reshape(n, b, b)
+            stack[:, rng.integers(b)] = 0  # an empty row
+            stack[:, :, rng.integers(b)] = 0  # and column
+            stack[0, rng.integers(b), rng.integers(b)] += 1  # no histogram is empty
+            yield b, stack
+        single = np.zeros((3, b, b), np.int64)
+        single[np.arange(3), rng.integers(b, size=3), rng.integers(b, size=3)] = [1, 7, 2 ** 20]
+        yield b, single
+        sparse = rng.multinomial(int(rng.integers(1, 40)), np.full(b * b, 1.0 / (b * b)), size=4)
+        yield b, sparse.reshape(4, b, b)
+
+
+def test_mi_bits_matches_the_nonzero_cell_formula():
+    """MI from counts, log2 n + (sum c log2 c - the margins' sums) / n, agrees
+    within 1e-12 bits with the nonzero-cell formula, and is never -0.0."""
+    rng = np.random.default_rng(33)
+    for b, stack in _random_histograms(rng):
+        totals = stack.sum((1, 2))
+        got = _mi_bits(stack, totals)
+        expected = [_nonzero_cell_mi(h, t) for h, t in zip(stack, totals)]
+        assert got == pytest.approx(expected, rel=0, abs=1e-12), b
+        assert all(math.copysign(1.0, v) == 1.0 for v in got.tolist())
+
+
+def test_mi_bits_batched_row_is_its_lone_call():
+    """A histogram's MI in a stack is its lone call's bit for bit, from int64 or
+    float64 counts alike, so the objective's batched sum equals ``mi_between``."""
+    rng = np.random.default_rng(34)
+    for _, stack in _random_histograms(rng):
+        totals = stack.sum((1, 2))
+        batched = _mi_bits(stack, totals).tolist()
+        lone = [mutual_information(JointHistogram(counts=h.astype(np.float64), total=float(t)))
+                for h, t in zip(stack, totals)]
+        assert [v.hex() for v in batched] == [v.hex() for v in lone]
+        assert _mi_bits(stack.astype(np.float64), totals).tolist() == batched
+
+
+def test_mi_of_independent_histograms_is_not_negative():
+    """An outer product of two margins is exactly independent: its MI is 0 and
+    reads >= 0, never -0.0 (the nonzero-cell formula read down to -8.8e-16 on
+    such histograms, which a check on final MI counts as a failed result)."""
+    rng = np.random.default_rng(35)
+    stacks = []
+    for _ in range(2000):
+        margins = rng.integers(0, 40, size=(2, int(rng.integers(2, 33))))
+        margins[:, 0] += 1  # no histogram is empty
+        stacks.append(np.outer(*margins))
+    values = [mutual_information(JointHistogram(counts=h.astype(np.float64), total=float(h.sum())))
+              for h in stacks]
+    assert min(values) >= 0.0
+    assert all(math.copysign(1.0, v) == 1.0 for v in values)
+    assert max(values) < 1e-12
 
 
 def _random_samples(rng, kind, n, bins):
@@ -418,7 +490,7 @@ def test_repeated_mi_between_allocates_no_whole_overlap_arrays():
     """After one warm call on a 256x256 pair, ``mi_between`` bins both images
     in the per-thread arena: at its peak a repeated call has allocated under
     64 KiB of traced memory (a whole-overlap float64 array is 512 KiB; the
-    50x50 histogram and the list of its nonzero cells take about 20 KiB each),
+    50x50 histogram takes about 20 KiB as int64 counts and again as float64),
     and it returns the same bits."""
     rng = np.random.default_rng(4)
     fixed = rng.uniform(size=(256, 256))

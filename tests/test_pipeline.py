@@ -449,9 +449,9 @@ def test_wavelet_is_one_level_dwt_pyramid():
 
 GOLDEN_DIGESTS = {
     "pyramid": "c30761a2bffb6a48861444d1cb0311a652efb525a3f4131c706d873b8c2a75bd",
-    "wavelet": "34a88fcc38bcbb230bb8758ac8afa25af900a5bf1399c1973aeacb9c228b50e0",
-    "dwt_pyramid": "c542b30bed11ef0b451eb86d194bd56f76bc52a700c0da3f09b9a3ca4c2cfb7e",
-    "dwt_pyramid-61x59": "f84d183a9bc658f34253b96d07af6c56fad2373929d848a7fb7eea777c45bbfb",
+    "wavelet": "ffc6f66fee42064daeec6a30336a2d2bacf6cf0559e614b6f369bf0f2d98ba37",
+    "dwt_pyramid": "be90ea0162a113d3a4b6b3d099cd0f70e4b75edab16ce58312b3916ecf6d3664",
+    "dwt_pyramid-61x59": "73e3a5893de1e0e30e85f1616ded9314ab12456796f95eb06f7b1d1aefe4fbd0",
 }
 
 # cases beyond a method's defaults: (method, config fields, crop of the pair);
@@ -485,7 +485,10 @@ def test_golden_digest(method):
     and SciPy 1.17.1 and are tied to that build and to the CPU's SIMD level:
     another NumPy may round a reduction differently, and NumPy picks its
     ``np.log2`` kernel by the SIMD level (without AVX512_SKX it differs by an
-    ulp on some inputs), so either can change them with no change in wavereg."""
+    ulp on some inputs), so either can change them with no change in wavereg.
+    They were re-recorded, as a declared result change, when MI came to be
+    summed from integer counts: final MI moved by ulps (the pyramid case's
+    not at all) while ``GOLDEN_GEOMETRY`` stayed as it was."""
     assert _digest(_golden_result(method)) == GOLDEN_DIGESTS[method], \
         f"digest differs under {_numpy_build()}"
 
