@@ -145,23 +145,23 @@ def remap_intensity(image: np.ndarray, mode: str, gamma: float = 2.0) -> np.ndar
 def overlay_diff(fixed: np.ndarray, registered: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Grey/fuchsia difference overlay.
 
-    Both images are normalized to their joint masked intensity range.
-    Agreeing pixels (within 0.1 of that range) render grey, disagreeing
-    pixels fuchsia, masked-out pixels black.
+    Both images are normalized to their joint masked intensity range (a
+    non-finite masked pixel raises ValueError). Agreeing pixels (within 0.1
+    of that range) render grey, disagreeing pixels fuchsia, masked-out pixels black.
     """
     fixed, registered, mask = _image_mask(fixed, registered, mask)
     out = np.zeros(fixed.shape + (3,), dtype=np.uint8)
     if not mask.any():
         return out
     values = np.concatenate([fixed[mask], registered[mask]])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite intensities in the overlap")
     lo, hi = values.min(), values.max()
     span = hi - lo if hi > lo else 1.0
-    nf = (fixed - lo) / span
-    nr = (registered - lo) / span
+    nf, nr = ((np.where(mask, x, lo) - lo) / span for x in (fixed, registered))
     grey = np.clip(np.round(255.0 * nf), 0, 255).astype(np.uint8)
     agree = np.abs(nf - nr) <= 0.1
-    out[..., 0] = np.where(agree, grey, 255)
+    out[..., 0] = out[..., 2] = np.where(agree, grey, 255)
     out[..., 1] = np.where(agree, grey, (grey * 0.3).astype(np.uint8))
-    out[..., 2] = np.where(agree, grey, 255)
     out[~mask] = 0
     return out

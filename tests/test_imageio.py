@@ -212,6 +212,32 @@ def test_overlay_masked_pixels_black():
     assert out[:3].any()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["fixed", "registered"])
+def test_overlay_non_finite_masked_pixel_raises(bad, which):
+    """One non-finite pixel in the overlap has no intensity range to normalize
+    by: it raises metric's message instead of rendering garbage with a warning."""
+    images = {"fixed": np.arange(16.0).reshape(4, 4), "registered": np.ones((4, 4))}
+    images[which][1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite intensities in the overlap"):
+        overlay_diff(images["fixed"], images["registered"], np.ones((4, 4), bool))
+
+
+def test_overlay_non_finite_pixels_outside_the_mask_render_black():
+    """Non-finite pixels outside the mask raise no warning (pytest makes one an
+    error), render black and leave every other pixel as finite values there would."""
+    rng = np.random.default_rng(2)
+    fixed, registered = rng.uniform(0, 255, (2, 6, 6))
+    mask = np.ones((6, 6), bool)
+    mask[0, :3] = mask[5, 5] = False
+    expected = overlay_diff(fixed, registered, mask)
+    fixed[0, :3], registered[0, :3] = [np.nan, np.inf, -np.inf], [np.inf, np.nan, np.inf]
+    registered[5, 5] = np.nan
+    out = overlay_diff(fixed, registered, mask)
+    assert not out[~mask].any()
+    assert np.array_equal(out, expected)
+
+
 def test_overlay_shape_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         overlay_diff(np.zeros((4, 4)), np.zeros((4, 5)), np.ones((4, 4), bool))
