@@ -147,7 +147,7 @@ def _mi_bits(counts: np.ndarray, total) -> np.ndarray:
     c, terms = _buffer((2, n, b * b + 2 * b))  # the cells, then the row and column sums
     cells = c[:, :b * b].reshape(n, b, b)
     np.copyto(cells, counts)
-    np.einsum("nij->ni", cells, out=c[:, b * b:-b])  # exact, as every sum of counts
+    np.einsum("nij->ni", cells, out=c[:, b * b:-b])  # integers below 2**53: exact in any order
     np.einsum("nij->nj", cells, out=c[:, -b:])
     np.log2(np.maximum(c, 1.0, out=terms), out=terms)  # an empty cell adds 0 * log2 1
     terms *= c
@@ -156,7 +156,7 @@ def _mi_bits(counts: np.ndarray, total) -> np.ndarray:
 
 
 def mutual_information(hist: JointHistogram) -> float:
-    """MI in bits: sum p(l,k) log2[p(l,k) / (p_Z(k) p_N(l))], zero cells skipped."""
+    """MI in bits, H(F) + H(M) - H(F, M) of the counts; 0.0 for a degenerate histogram."""
     return 0.0 if hist.degenerate else float(_mi_bits(hist.counts[None], hist.total)[0])
 
 
