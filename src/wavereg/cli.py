@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .fixtures import PATTERNS, FixtureSpec, write_fixture
-from .imageio import REMAP_MODES, PnmError, load_pgm, overlay_diff, save_json, save_pgm, save_ppm
+from .fixtures import PATTERNS, REMAP_MODES, FixtureSpec, write_fixture
+from .imageio import PnmError, load_pgm, overlay_diff, save_json, save_pgm, save_ppm
 from .optimizer import OptimizerConfig, trace_to_csv
 from .pipeline import METHODS, RegistrationConfig, RegistrationError, register
 from .transform import AffineParams, image_center, params_to_dict

@@ -1,10 +1,10 @@
 """Synthetic ground-truth fixture pairs for desk-scale verification.
 
-``generate_pair`` renders a base pattern as the fixed image, remaps its
-intensities to fake a second modality, warps it with a known transform
-and adds seeded Gaussian noise. The transform that realigns the pair is
-the parameter-space inverse of the applied one; both are emitted in the
-sidecar so consumers never re-derive the convention.
+``generate_pair`` checks the spec, renders a base pattern as the fixed image,
+remaps its intensities (``REMAP_MODES``) to fake a second modality, warps it
+with a known transform and adds seeded Gaussian noise. The realigning
+transform is the parameter-space inverse of the applied one; the sidecar
+emits both so consumers never re-derive the convention.
 
 The ``noise_smoothed`` pattern is a difference of two Gaussian-smoothed
 noise fields. The smoothing is the pyramid's NumPy reflect correlation
@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imageio import remap_intensity, save_json, save_pgm
+from .imageio import save_json, save_pgm
 from .optimizer import _check_integers
 from .pyramid import _correlate_reflect
 from .transform import AffineParams, invert_params, params_to_dict, warp
 
 PATTERNS = ("phantom_ellipses", "checker", "noise_smoothed")
+REMAP_MODES = ("invert", "gamma", "neglog")  # the modes of _remap
 
 INTENSITY_RANGE = 255.0
 
@@ -49,7 +50,7 @@ class FixtureSpec:
     base_pattern: str = "phantom_ellipses"
     size: int = 128
     truth: AffineParams = field(default_factory=AffineParams)
-    remap: str = "none"  # "none" or one of imageio.REMAP_MODES
+    remap: str = "none"  # "none" or one of REMAP_MODES
     gamma: float = 2.0
     noise_sigma: float = 0.0  # fraction of the intensity range
     seed: int = 0
@@ -57,6 +58,8 @@ class FixtureSpec:
     def validate(self) -> None:
         if self.base_pattern not in PATTERNS:
             raise ValueError(f"unknown base pattern {self.base_pattern!r}")
+        if self.remap not in ("none", *REMAP_MODES):
+            raise ValueError(f"unknown remap mode {self.remap!r}")
         _check_integers(64, size=self.size)
         _check_integers(0, seed=self.seed)
         # NumPy's normal deviates are under 13 (its ziggurat's tail): the noise stays finite
@@ -120,14 +123,26 @@ def render_pattern(spec: FixtureSpec) -> np.ndarray:
     return _render_noise(spec.size, spec.seed)
 
 
+def _remap(image: np.ndarray, mode: str, gamma: float) -> np.ndarray:
+    """A second modality from a rendered pattern (float64, non-negative, never constant):
+    ``invert`` reflects about the min/max midpoint, ``gamma`` is a power law on the
+    normalized range, ``neglog`` is negated log1p rescaled back to the input range."""
+    lo, hi = image.min(), image.max()
+    if mode == "invert":
+        return (lo + hi) - image
+    if mode == "gamma":
+        span = hi - lo
+        return lo + span * ((image - lo) / span) ** gamma
+    mapped = -np.log1p(image)
+    mlo, mhi = mapped.min(), mapped.max()
+    return lo + (hi - lo) * (mapped - mlo) / (mhi - mlo)
+
+
 def generate_pair(spec: FixtureSpec):
     """Return (fixed, moving, truth); moving = warp(remap(fixed), truth) + noise."""
     spec.validate()
     fixed = render_pattern(spec)
-    if spec.remap == "none":
-        source = fixed
-    else:
-        source = remap_intensity(fixed, spec.remap, gamma=spec.gamma)
+    source = fixed if spec.remap == "none" else _remap(fixed, spec.remap, spec.gamma)
     moving, mask = warp(source, spec.truth)
     if np.count_nonzero(mask) < 0.5 * mask.size:
         raise ValueError("fixture unusable: transform pushes over half the image out of bounds")

@@ -1,4 +1,4 @@
-"""Binary Netpbm (PGM/PPM) I/O, intensity remapping, and difference overlays.
+"""Binary Netpbm (PGM/PPM) I/O, JSON output and difference overlays.
 
 Images are 2-D float64 arrays indexed ``[row, col]`` (y down, x right).
 Masks are boolean arrays of the same shape. RGB overlays are
@@ -108,46 +108,12 @@ def _image_mask(a, b, mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, mask
 
 
-REMAP_MODES = ("invert", "gamma", "neglog")  # the modes of remap_intensity
-
-
-def remap_intensity(image: np.ndarray, mode: str, gamma: float = 2.0) -> np.ndarray:
-    """Synthesize a second 'modality' by remapping intensities pixelwise.
-
-    Modes: ``invert`` (reflect about the image's min/max midpoint),
-    ``gamma`` (power law on the normalized range), ``neglog``
-    (negated log1p, rescaled back to the input range).
-    """
-    image = np.asarray(image, dtype=np.float64)
-    if image.size == 0:
-        raise ValueError("empty image")
-    lo, hi = image.min(), image.max()
-    if mode == "invert":
-        return (lo + hi) - image
-    if mode == "gamma":
-        if not 0 < gamma < np.inf:  # also rejects NaN
-            raise ValueError(f"gamma must be > 0 and finite, got {gamma}")
-        span = hi - lo
-        if span == 0:
-            return image.copy()
-        return lo + span * ((image - lo) / span) ** gamma
-    if mode == "neglog":
-        if lo < 0:
-            raise ValueError("neglog requires nonnegative intensities")
-        mapped = -np.log1p(image)
-        mlo, mhi = mapped.min(), mapped.max()
-        if mhi == mlo:
-            return image.copy()
-        return lo + (hi - lo) * (mapped - mlo) / (mhi - mlo)
-    raise ValueError(f"unknown remap mode {mode!r}")
-
-
 def overlay_diff(fixed: np.ndarray, registered: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Grey/fuchsia difference overlay.
 
-    Both images are normalized to their joint masked intensity range (a
-    non-finite masked pixel raises ValueError). Agreeing pixels (within 0.1
-    of that range) render grey, disagreeing pixels fuchsia, masked-out pixels black.
+    Both images are normalized to their joint masked intensity range (a non-finite
+    masked pixel, or a range that overflows float64, raises ValueError). Agreeing pixels
+    (within 0.1 of that range) render grey, disagreeing pixels fuchsia, masked-out pixels black.
     """
     fixed, registered, mask = _image_mask(fixed, registered, mask)
     out = np.zeros(fixed.shape + (3,), dtype=np.uint8)
@@ -156,7 +122,9 @@ def overlay_diff(fixed: np.ndarray, registered: np.ndarray, mask: np.ndarray) ->
     values = np.concatenate([fixed[mask], registered[mask]])
     if not np.isfinite(values).all():
         raise ValueError("non-finite intensities in the overlap")
-    lo, hi = values.min(), values.max()
+    lo, hi = float(values.min()), float(values.max())  # Python floats: hi - lo warns nothing
+    if np.isinf(hi - lo):
+        raise ValueError(f"intensity range [{lo:.6g}, {hi:.6g}] overflows float64")
     span = hi - lo if hi > lo else 1.0
     nf, nr = ((np.where(mask, x, lo) - lo) / span for x in (fixed, registered))
     grey = np.clip(np.round(255.0 * nf), 0, 255).astype(np.uint8)

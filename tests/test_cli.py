@@ -15,8 +15,8 @@ import pytest
 import wavereg
 from wavereg import load_pgm
 from wavereg.cli import METHOD_ALIASES, PATTERN_ALIASES, _build_parser, _make_config, main
-from wavereg.fixtures import PATTERNS, FixtureSpec
-from wavereg.imageio import REMAP_MODES, save_pgm
+from wavereg.fixtures import PATTERNS, REMAP_MODES, FixtureSpec
+from wavereg.imageio import save_pgm
 from wavereg.pipeline import METHODS
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wavereg import load_pgm, save_pgm
-from wavereg.imageio import PnmError, overlay_diff, remap_intensity, save_ppm
+from wavereg.fixtures import FixtureSpec, _remap
+from wavereg.imageio import PnmError, overlay_diff, save_ppm
 
 
 def test_load_p5_8bit(tmp_path):
@@ -47,9 +48,12 @@ def test_load_skips_comments(tmp_path):
     (b"P5 2 1 # a comment that runs to the end of the file", "truncated header"),
     (b"P5", "truncated header"),
     (b"P512 1 255\n" + bytes(12), "unsupported magic b'P512' (expected P5)"),
+    (b"P5\n0 2\n255\n" + bytes(4), "invalid dimensions 0x2"),
+    (b"P5\n2 1\n0\n" + bytes(4), "invalid maxval 0"),
+    (b"P5\n2 1\n65536\n" + bytes(4), "invalid maxval 65536"),
 ], ids=["comment-after-magic", "tab-cr-vt-ff", "consecutive-comments", "plus-sign",
         "hash-inside-width", "hash-inside-maxval", "comment-to-eof", "bare-magic",
-        "no-separator-after-magic"])
+        "no-separator-after-magic", "zero-width", "maxval-0", "maxval-65536"])
 def test_load_header_tokens(tmp_path, data, expected):
     # a token is the bytes up to the next whitespace, "#" included; only a
     # "#" that starts a token opens a comment, which runs to the end of its line.
@@ -143,35 +147,38 @@ def test_save_ppm_rejects_anything_but_uint8(tmp_path, value):
     assert not (tmp_path / "o.ppm").exists()
 
 
+# The fixtures' remaps: their values through fixtures._remap, whose one caller,
+# generate_pair, validates its spec first; their refusals through FixtureSpec.validate.
 def test_remap_invert():
     img = np.array([[0.0, 100.0, 255.0]])
-    out = remap_intensity(img, "invert")
+    out = _remap(img, "invert", 2.0)
     assert np.array_equal(out, [[255.0, 155.0, 0.0]])
 
 
 def test_remap_gamma():
     img = np.array([[0.0, 0.5, 1.0]])
-    assert np.allclose(remap_intensity(img, "gamma", gamma=1.0), img)
-    assert remap_intensity(img, "gamma", gamma=2.0)[0, 1] == pytest.approx(0.25)
+    assert np.allclose(_remap(img, "gamma", 1.0), img)
+    assert _remap(img, "gamma", 2.0)[0, 1] == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0, -1.0])
 def test_remap_gamma_rejects_non_finite_or_non_positive(gamma):
     # NaN gave an all-NaN image and Inf an all-zero one
     with pytest.raises(ValueError, match=r"gamma must be > 0 and finite"):
-        remap_intensity(np.array([[0.0, 0.5, 1.0]]), "gamma", gamma=gamma)
+        FixtureSpec(remap="gamma", gamma=gamma).validate()
 
 
 def test_remap_neglog_monotone_decreasing():
     img = np.linspace(0, 255, 32).reshape(1, 32)
-    out = remap_intensity(img, "neglog")
+    out = _remap(img, "neglog", 2.0)
     assert np.all(np.diff(out[0]) < 0)
     assert out.min() == pytest.approx(0.0) and out.max() == pytest.approx(255.0)
 
 
 def test_remap_unknown_mode():
-    with pytest.raises(ValueError, match="unknown remap mode"):
-        remap_intensity(np.zeros((2, 2)), "sepia")
+    # validate accepted it, and generate_pair refused it only after rendering the pattern
+    with pytest.raises(ValueError, match="^unknown remap mode 'sepia'$"):
+        FixtureSpec(remap="sepia").validate()
 
 
 def test_overlay_identical_is_grey():
@@ -236,6 +243,23 @@ def test_overlay_non_finite_pixels_outside_the_mask_render_black():
     out = overlay_diff(fixed, registered, mask)
     assert not out[~mask].any()
     assert np.array_equal(out, expected)
+
+
+def test_overlay_empty_mask_is_black():
+    out = overlay_diff(np.arange(16.0).reshape(4, 4), np.ones((4, 4)), np.zeros((4, 4), bool))
+    assert out.shape == (4, 4, 3) and out.dtype == np.uint8 and not out.any()
+
+
+def test_overlay_refuses_a_range_that_overflows_float64():
+    # hi - lo overflowed with a RuntimeWarning, and without warnings as errors
+    # the overlay was rendered from NaN
+    mask = np.ones((2, 2), bool)
+    with pytest.raises(ValueError, match=re.escape(
+            "intensity range [-1e+308, 1e+308] overflows float64")):
+        overlay_diff(np.full((2, 2), 1e308), np.full((2, 2), -1e308), mask)
+    # a range just inside float64 still renders: the two images disagree everywhere
+    out = overlay_diff(np.full((2, 2), 8e307), np.full((2, 2), -8e307), mask)
+    assert np.all(out[..., 0] == 255) and np.all(out[..., 2] == 255)
 
 
 def test_overlay_shape_mismatch():

@@ -167,6 +167,12 @@ def test_too_small_images_rejected():
         register(img, img, _config("pyramid"))
 
 
+def test_three_d_images_rejected():
+    stack = np.zeros((2, 64, 64))
+    with pytest.raises(ValueError, match="^images must be 2-D$"):
+        register(stack, stack, _config("pyramid"))
+
+
 @pytest.mark.parametrize("method", ["pyramid", "wavelet", "dwt_pyramid"])
 def test_shape_mismatch_rejected(method):
     fixed = _phantom()

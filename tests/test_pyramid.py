@@ -127,6 +127,12 @@ def test_wrong_rank_input_is_named():
             build_pyramid(image, levels)
 
 
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1), (3, 1, 8)])
+def test_reduce_refuses_a_plane_under_2x2(shape):
+    with pytest.raises(ValueError, match=re.escape("image too small to reduce (needs at least 2x2)")):
+        reduce_image(np.ones(shape))
+
+
 @pytest.mark.parametrize("levels", [2.5, 2.0, True])
 def test_num_levels_must_be_an_integer(levels):
     # 2.5 failed inside range() with "'float' object cannot be interpreted as

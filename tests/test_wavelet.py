@@ -66,6 +66,12 @@ def test_wrong_rank_input_is_named():
             dwt2(np.ones(shape))
 
 
+@pytest.mark.parametrize("shape", [(1, 8), (8, 1)])
+def test_dwt2_refuses_an_image_under_2x2(shape):
+    with pytest.raises(ValueError, match=re.escape("image too small for DWT (needs at least 2x2)")):
+        dwt2(np.ones(shape))
+
+
 def _synthesis_formulas(bands, shape):
     # idwt2's own four formulas before it became dwt2 of the bands laid out as blocks
     ll, lh, hl, hh = bands
