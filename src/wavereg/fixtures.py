@@ -1,10 +1,11 @@
 """Synthetic ground-truth fixture pairs for desk-scale verification.
 
-``generate_pair`` checks the spec, renders a base pattern as the fixed image,
+``generate_pair`` and ``write_fixture`` are the entry points; each validates
+the spec first. ``generate_pair`` renders a base pattern as the fixed image,
 remaps its intensities (``REMAP_MODES``) to fake a second modality, warps it
-with a known transform and adds seeded Gaussian noise. The realigning
-transform is the parameter-space inverse of the applied one; the sidecar
-emits both so consumers never re-derive the convention.
+with a known transform and adds seeded Gaussian noise. ``write_fixture``
+saves the pair and a sidecar with the transform and its realigning
+parameter-space inverse, so consumers never re-derive the convention.
 
 The ``noise_smoothed`` pattern is a difference of two Gaussian-smoothed
 noise fields. The smoothing is the pyramid's NumPy reflect correlation
@@ -23,7 +24,7 @@ import numpy as np
 from .imageio import save_json, save_pgm
 from .optimizer import _check_integers
 from .pyramid import _correlate_reflect
-from .transform import AffineParams, invert_params, params_to_dict, warp
+from .transform import AffineParams, image_center, invert_params, params_to_dict, warp
 
 PATTERNS = ("phantom_ellipses", "checker", "noise_smoothed")
 REMAP_MODES = ("invert", "gamma", "neglog")  # the modes of _remap
@@ -84,7 +85,7 @@ def _render_phantom(size: int) -> np.ndarray:
 
 
 def _render_checker(size: int) -> np.ndarray:
-    block = max(size // 16, 2)
+    block = size // 16
     ys, xs = np.mgrid[0:size, 0:size]
     tiles = ((xs // block + ys // block) % 2).astype(np.float64)
     # radial modulation breaks the tiling's translational ambiguity
@@ -115,14 +116,6 @@ def _render_noise(size: int, seed: int) -> np.ndarray:
     return INTENSITY_RANGE * (raw - lo) / (hi - lo)
 
 
-def render_pattern(spec: FixtureSpec) -> np.ndarray:
-    if spec.base_pattern == "phantom_ellipses":
-        return _render_phantom(spec.size)
-    if spec.base_pattern == "checker":
-        return _render_checker(spec.size)
-    return _render_noise(spec.size, spec.seed)
-
-
 def _remap(image: np.ndarray, mode: str, gamma: float) -> np.ndarray:
     """A second modality from a rendered pattern (float64, non-negative, never constant):
     ``invert`` reflects about the min/max midpoint, ``gamma`` is a power law on the
@@ -141,7 +134,9 @@ def _remap(image: np.ndarray, mode: str, gamma: float) -> np.ndarray:
 def generate_pair(spec: FixtureSpec):
     """Return (fixed, moving, truth); moving = warp(remap(fixed), truth) + noise."""
     spec.validate()
-    fixed = render_pattern(spec)
+    fixed = (_render_phantom(spec.size) if spec.base_pattern == "phantom_ellipses" else
+             _render_checker(spec.size) if spec.base_pattern == "checker" else
+             _render_noise(spec.size, spec.seed))
     source = fixed if spec.remap == "none" else _remap(fixed, spec.remap, spec.gamma)
     moving, mask = warp(source, spec.truth)
     if np.count_nonzero(mask) < 0.5 * mask.size:
@@ -153,24 +148,19 @@ def generate_pair(spec: FixtureSpec):
     return fixed, moving, spec.truth
 
 
-def sidecar_dict(spec: FixtureSpec) -> dict:
-    """Truth transform, its realigning inverse, and an echo of the spec."""
-    center = ((spec.size - 1) / 2.0, (spec.size - 1) / 2.0)
-    return {
-        "truth": params_to_dict(spec.truth, center),
-        "recovery": params_to_dict(invert_params(spec.truth), center),
+def write_fixture(spec: FixtureSpec, out_dir) -> None:
+    """Emit fixed.pgm, moving.pgm and truth.json (truth, recovery, spec) into ``out_dir``."""
+    import os
+
+    fixed, moving, truth = generate_pair(spec)
+    center = image_center(fixed)
+    sidecar = {  # before any file, so a failure leaves none behind
+        "truth": params_to_dict(truth, center),
+        "recovery": params_to_dict(invert_params(truth), center),
         "spec": {name: getattr(spec, name) for name in
                  ("base_pattern", "size", "remap", "gamma", "noise_sigma", "seed")}
         | {"size": int(spec.size), "seed": int(spec.seed)},  # NumPy integers are not JSON
     }
-
-
-def write_fixture(spec: FixtureSpec, out_dir) -> None:
-    """Emit fixed.pgm, moving.pgm and truth.json into ``out_dir``."""
-    import os
-
-    fixed, moving, _ = generate_pair(spec)
-    sidecar = sidecar_dict(spec)  # before any file, so a failure leaves none behind
     os.makedirs(out_dir, exist_ok=True)
     save_pgm(fixed, os.path.join(out_dir, "fixed.pgm"))
     save_pgm(moving, os.path.join(out_dir, "moving.pgm"))

@@ -33,10 +33,11 @@ def _parse_header(data: bytes) -> tuple[int, int, int, int]:
         if not tok:
             raise PnmError("truncated header")
         try:
-            value = int(tok)
+            if not re.fullmatch(rb"\+?[0-9]+", tok):  # int() alone also takes "-" and "_"
+                raise ValueError
+            fields.append(int(tok))  # which refuses more digits than Python's limit (4,300)
         except ValueError:
             raise PnmError(f"invalid {name} field {tok!r}") from None
-        fields.append(value)
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PnmError(f"invalid dimensions {width}x{height}")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,6 @@ from wavereg.fixtures import (
     FixtureSpec,
     _gaussian_smooth,
     generate_pair,
-    render_pattern,
-    sidecar_dict,
     write_fixture,
 )
 
@@ -64,20 +63,20 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_patterns_render_in_range():
     for pattern in ("phantom_ellipses", "checker", "noise_smoothed"):
-        img = render_pattern(FixtureSpec(base_pattern=pattern, size=96, seed=4))
+        img = generate_pair(FixtureSpec(base_pattern=pattern, size=96, seed=4))[0]
         assert img.shape == (96, 96)
         assert img.min() >= 0.0 and img.max() <= 255.0
         assert img.std() > 10.0  # must carry real structure
 
 
 def test_phantom_has_many_plateaus():
-    img = render_pattern(FixtureSpec(size=128))
+    img = generate_pair(FixtureSpec(size=128))[0]
     assert len(np.unique(img)) >= 8
 
 
 def test_noise_pattern_seed_dependence():
-    a = render_pattern(FixtureSpec(base_pattern="noise_smoothed", size=64, seed=1))
-    b = render_pattern(FixtureSpec(base_pattern="noise_smoothed", size=64, seed=2))
+    a = generate_pair(FixtureSpec(base_pattern="noise_smoothed", size=64, seed=1))[0]
+    b = generate_pair(FixtureSpec(base_pattern="noise_smoothed", size=64, seed=2))[0]
     assert not np.allclose(a, b)
 
 
@@ -95,6 +94,13 @@ def test_unusable_transform_rejected():
     spec = FixtureSpec(size=64, truth=AffineParams(tx=60, ty=60))
     with pytest.raises(ValueError, match="fixture unusable"):
         generate_pair(spec)
+
+
+def test_an_unknown_pattern_renders_nothing():
+    # the pattern renderer took any unknown name for noise_smoothed, and the
+    # sidecar builder echoed it, since neither checked the spec
+    with pytest.raises(ValueError, match="^unknown base pattern 'plaid'$"):
+        generate_pair(FixtureSpec(base_pattern="plaid", size=64))
 
 
 def test_spec_validation():
@@ -157,9 +163,10 @@ def test_spec_counts_must_not_be_bools(field):
         generate_pair(spec)
 
 
-def test_sidecar_recovery_inverts_truth():
+def test_sidecar_recovery_inverts_truth(tmp_path):
     truth = AffineParams(tx=6, ty=-3, theta=math.radians(4))
-    side = sidecar_dict(FixtureSpec(size=128, truth=truth))
+    write_fixture(FixtureSpec(size=128, truth=truth), tmp_path)
+    side = json.loads((tmp_path / "truth.json").read_text())
     r = side["recovery"]
     assert r["center"] == [63.5, 63.5]
     rec = AffineParams(r["tx"], r["ty"], r["theta_rad"], r["sx"], r["sy"], r["k"])
@@ -178,6 +185,18 @@ def test_write_fixture_outputs(tmp_path):
     assert fixed.shape == moving.shape == (64, 64)
     side = json.loads((tmp_path / "fx" / "truth.json").read_text())
     assert side["truth"]["tx"] == 2.0
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("base_pattern", "plaid", "unknown base pattern 'plaid'"),
+    ("remap", "sepia", "unknown remap mode 'sepia'"),
+    ("noise_sigma", -1.0, "noise_sigma must be >= 0 with finite noise, got -1.0"),
+])
+def test_write_fixture_refuses_a_bad_spec_before_any_file(tmp_path, field, value, message):
+    # the sidecar builder echoed each of these values without an error
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_fixture(replace(FixtureSpec(size=64), **{field: value}), tmp_path / "fx")
+    assert not (tmp_path / "fx").exists()
 
 
 def test_write_fixture_takes_numpy_integer_counts(tmp_path):

@@ -51,13 +51,21 @@ def test_load_skips_comments(tmp_path):
     (b"P5\n0 2\n255\n" + bytes(4), "invalid dimensions 0x2"),
     (b"P5\n2 1\n0\n" + bytes(4), "invalid maxval 0"),
     (b"P5\n2 1\n65536\n" + bytes(4), "invalid maxval 65536"),
+    (b"P5\n6_4 +2\n2_55\n" + bytes(128), "invalid width field b'6_4'"),
+    (b"P5\n64 0_2\n255\n" + bytes(128), "invalid height field b'0_2'"),
+    (b"P5\n64 2\n2_55\n" + bytes(128), "invalid maxval field b'2_55'"),
+    (b"P5\n-2 1\n255\n" + bytes(4), "invalid width field b'-2'"),
+    (b"P5\n" + b"9" * 5000 + b" 1\n255\n", "invalid width field b'9999"),
 ], ids=["comment-after-magic", "tab-cr-vt-ff", "consecutive-comments", "plus-sign",
         "hash-inside-width", "hash-inside-maxval", "comment-to-eof", "bare-magic",
-        "no-separator-after-magic", "zero-width", "maxval-0", "maxval-65536"])
+        "no-separator-after-magic", "zero-width", "maxval-0", "maxval-65536",
+        "underscore-in-width", "underscore-in-height", "underscore-in-maxval", "minus-sign",
+        "past-int-digit-limit"])
 def test_load_header_tokens(tmp_path, data, expected):
     # a token is the bytes up to the next whitespace, "#" included; only a
     # "#" that starts a token opens a comment, which runs to the end of its line.
-    # The magic is a token too: "P512" was read as P5 and a width of 12
+    # The magic is a token too: "P512" was read as P5 and a width of 12.
+    # A number is ASCII digits after an optional "+": int() read "6_4" as 64
     path = tmp_path / "h.pgm"
     path.write_bytes(data)
     if isinstance(expected, str):

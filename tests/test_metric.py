@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from wavereg.metric import (
     mi_between,
     mutual_information,
 )
-from wavereg.transform import AffineParams, warp
+from wavereg.fixtures import FixtureSpec, generate_pair
+from wavereg.transform import AffineParams, invert_params, warp
 
 
 def _diag_hist(n):
@@ -116,6 +118,25 @@ def test_mi_self_is_entropy():
     p = p[p > 0]
     entropy = float(-(p * np.log2(p)).sum())
     assert mi_between(img, img, mask) == pytest.approx(entropy, abs=1e-9)
+
+
+@pytest.mark.parametrize("pattern", ["phantom_ellipses", "noise_smoothed"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mi_peaks_at_the_recovery_of_a_folded_pair(pattern, seed):
+    """A fold |2x - (lo + hi)| is not monotone, so Pearson's r barely sees it
+    (|r| at the recovery reads 0.18-0.65 on these pairs, so it is not pinned),
+    while MI at the recovery beats MI 2 px off: 2.15 against 1.75 bits on the
+    phantom and 2.04-2.27 against 0.17-0.24 bits on the noise pattern."""
+    fixed = generate_pair(FixtureSpec(base_pattern=pattern, size=128, seed=seed))[0]
+    folded = np.abs(2 * fixed - (fixed.min() + fixed.max()))
+    truth = AffineParams(tx=4, ty=-3, theta=math.radians(5))
+    moving = warp(folded, truth)[0]
+    noise = np.random.default_rng(seed).normal(0, 0.01 * 255, moving.shape)
+    moving = np.clip(moving + noise, 0, None)
+    recovery = invert_params(truth)
+    at_truth, off = (mi_between(fixed, *warp(moving, params))
+                     for params in (recovery, replace(recovery, tx=recovery.tx + 2)))
+    assert at_truth > off
 
 
 def _nonzero_cell_mi(counts, total):
