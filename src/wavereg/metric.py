@@ -11,17 +11,17 @@ and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
 with the top edge counted in the last bin. All binning, MI and correlation
-temporaries but the list of masked pixels live in the per-thread arena
-(``transform._buffer``). One ``np.bincount`` fills the joint histogram. MI is
-H(F) + H(M) - H(F, M) from the integer counts, one ``np.add.reduce`` per
-histogram of a stack, clamped at 0: never below 0 and never -0.0.
+temporaries but the list of masked pixels and the repeated run bounds live in
+the per-thread arena (``transform._buffer``). One ``np.bincount`` fills the
+joint histogram. MI is H(F) + H(M) - H(F, M) from the integer counts, one
+``np.add.reduce`` per histogram of a stack, clamped at 0: never below 0 and
+never -0.0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def _bin_index(values, lo, hi, bins: int, counts=None, out=None, start=0) -> np.
     [lo, hi]: the last edge not above it, the top edge in the last bin.
     ``values`` is one row with scalar bounds, or (r, n) rows with (r,) or, in
     runs of ``counts`` values, (r, s) bounds, each binned exactly as if alone.
-    Returns a new array, or ``out``; its temporaries are in the arena from ``start``."""
+    Returns a new array, or ``out``; its arena temporaries start at ``start``."""
     lo, hi = np.reshape(lo, (-1, 1)), np.reshape(hi, (-1, 1))
     rows = np.atleast_2d(values)
     step = (hi - lo) / bins
@@ -69,16 +69,13 @@ def _bin_index(values, lo, hi, bins: int, counts=None, out=None, start=0) -> np.
     # bounds r's edges start at r * (bins + 1); no value leaves its own, as
     # index 0 never steps down and the last bin never steps up
     offsets = np.arange(0, lo.size * (bins + 1), bins + 1)[:, None]
-    if lo.size > len(rows):  # row p's run j: bounds p * s + j, copied over the run
-        bounds = np.concatenate((lo, hi - lo, offsets), 1).T.reshape(3, len(rows), -1, 1)
-        per = _buffer((2, *rows.shape), start=start)
-        offsets = _buffer(rows.shape, np.intp, start + per.nbytes)
-        for j, run in enumerate(map(slice, accumulate([0, *counts[:-1]]), accumulate(counts))):
-            per[..., run], offsets[:, run] = bounds[:2, :, j], bounds[2, :, j]
+    if lo.size > len(rows):  # row p's run j: bounds p * s + j, repeated over the run
+        per = np.repeat(np.reshape([lo, hi - lo], (2, len(rows), -1)), counts, 2)
+        offsets = np.repeat(offsets.reshape(len(rows), -1), counts, 1)
         guess, span = np.subtract(rows, per[0], out=per[0]), per[1]
     else:
         guess, span = np.subtract(rows, lo, out=_buffer(rows.shape, start=start)), hi - lo
-    guess /= span  # then the flags overwrite the run spans
+    guess /= span
     edge, (down, up) = guess, _buffer((2, *rows.shape), bool, start + guess.nbytes)
     index = np.empty(rows.shape, np.intp) if out is None else out.reshape(rows.shape)
     guess *= bins

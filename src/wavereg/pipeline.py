@@ -138,8 +138,7 @@ class _LevelObjective:
     masked. A bin depends only on the value and the range, so a fixed plane is
     binned whole (clipped into the range) once per masked range and kept as cell
     offsets in one ``lru_cache`` of the level's last ``_MEMO_SIZE * k`` (plane,
-    range) pairs, k the level's planes, looked up once per run of consecutive
-    candidates that share a plane's range."""
+    range) pairs, k the level's planes, looked up once per (plane, candidate)."""
 
     def __init__(self, fixed: np.ndarray, moving: np.ndarray, bins: int):
         self.fixed, self.moving = fixed.reshape(len(fixed), -1), moving
@@ -167,8 +166,8 @@ class _LevelObjective:
 
     def _score(self, vectors: np.ndarray) -> list[float]:
         # arena phases (S = 8 * B * k * H * W bytes): samples in [0, S), resample's pass
-        # temporaries behind; cells in [S, 2S), then _bin_index's; cell tables over the dead
-        # samples (binned misses past 2S of a full batch); _mi_bits from 0
+        # temporaries behind; cells in [S, 2S), then _bin_index's guesses and flags; cell
+        # tables over the dead samples (binned misses past 2S of a full batch); _mi_bits from 0
         front = 8 * len(vectors) * self.moving.size
         samples, masks = resample(self.moving, vectors)
         inside = masks.reshape(len(masks), -1)
@@ -188,11 +187,7 @@ class _LevelObjective:
                           out=_buffer(samples.shape, np.intp, front), start=2 * front)
         tables = _buffer((len(cell), *inside.shape), np.uint32)
         for plane, ranges in enumerate(zip(bounds[0].tolist(), bounds[1].tolist())):
-            done = 0
-            for key, run in itertools.groupby(zip(*ranges)):  # consecutive candidates, one range
-                n = len(list(run))
-                tables[plane, done:done + n] = self.binned(plane, *key)
-                done += n
+            tables[plane] = [self.binned(plane, *key) for key in zip(*ranges)]
         if len(counts) > 1:  # candidate j's cells from j * cells
             tables += np.arange(0, len(counts) * self.cells, self.cells, dtype=np.uint32)[:, None]
         cell += tables[np.broadcast_to(inside, tables.shape).copy()].reshape(cell.shape)

@@ -290,12 +290,12 @@ def test_binning_matches_histogram2d(seed, kind):
         assert np.array_equal(_bin_index(rows[:-1], lo[:-1], hi[:-1], bins), alone[:-1])
         edges = np.linspace(lo[-1], hi[-1], bins + 1)
         assert np.array_equal(alone[-1], np.searchsorted(edges[1:-1], subnormal, "right"))
-        # the per-run form: the rows cut into 1 to 8 runs, each with its own
-        # (r, s) bounds (a one-value range widened), bins each run as a call
-        # on it alone; trial 20's 5 x 32771 values are more than one 4,096-
-        # value pass, the others' fewer, and both sizes gather their bounds
+        # the per-run form: the rows cut into 1 to 16 runs (a small level's
+        # look-ahead batch), each with its own (r, s) bounds (a one-value
+        # range widened), bins each run as a call on it alone; trial 20's
+        # 5 x 32771 values are more than one 4,096-value pass, the others' fewer
         cut_rng = np.random.default_rng([seed, trial, 1])
-        cuts = np.sort(cut_rng.choice(np.arange(1, n), min(trial % 8, n - 1), replace=False))
+        cuts = np.sort(cut_rng.choice(np.arange(1, n), min(trial % 16, n - 1), replace=False))
         parts = np.split(rows, cuts, axis=1)
         run_lo = np.stack([part.min(axis=1) for part in parts], axis=1)
         run_hi = np.stack([part.max(axis=1) for part in parts], axis=1)

@@ -842,13 +842,13 @@ def test_batch_of_every_workload_level_is_what_a_call_scores():
 
 def test_look_ahead_batches_keep_bounded_memory():
     """The per-thread arena that a new thread keeps after one 4-candidate call
-    on a 128x128 plane and one on a 4x64x64 stack (65,536 values each) is the
-    call's largest phase: 8 bytes a value of samples, 8 of bin index and 24
-    of binning temporaries (16 of guess and run span, 8 of run offset; the
-    comparison flags overwrite the spans), 2,621,440 bytes, under 3 MiB. A
-    single 256x256 candidate keeps ``resample``'s 1,835,008 bytes (its samples
-    and one 16,384-value pass of temporaries), more than its samples, bin
-    index and 10 bytes a value of binning temporaries. Nine named buffers
+    on a 128x128 plane and one on a 4x64x64 stack (65,536 values each) is at
+    most the 2,621,440 bytes it kept while the run bounds lived in it (8 bytes
+    a value of samples, 8 of bin index and 24 of binning temporaries), under
+    3 MiB. The repeated run bounds are arrays of their own, so it keeps
+    ``resample``'s 1,835,008 bytes (the samples and one 16,384-value pass of
+    temporaries), as a single 256x256 candidate does: more than the samples,
+    bin index and 10 bytes a value of binning temporaries. Nine named buffers
     kept 4,603,904 and 3,555,328 bytes before the arena."""
     def kept(shapes, batch):
         rng = np.random.default_rng(0)
