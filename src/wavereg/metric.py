@@ -10,12 +10,12 @@ Bin indices are computed arithmetically, ``(v - lo) / (hi - lo) * bins``,
 and then corrected against the ``np.linspace`` edges, as NumPy's own 1-D
 ``histogram`` does for uniform bins. After the correction every sample sits
 in the bin ``np.histogram2d`` would give it: the last edge not above it,
-with the top edge counted in the last bin. All binning, MI and correlation
-temporaries but the list of masked pixels and the repeated run bounds live in
-the per-thread arena (``transform._buffer``). One ``np.bincount`` fills the
-joint histogram. MI is H(F) + H(M) - H(F, M) from the integer counts, one
-``np.add.reduce`` per histogram of a stack, clamped at 0: never below 0 and
-never -0.0.
+with the top edge counted in the last bin. The public functions work on
+fresh masked copies; only ``_bin_index`` and ``_mi_bits`` keep temporaries
+in the per-thread arena (``transform._buffer``). One ``np.bincount`` fills
+the joint histogram. MI is H(F) + H(M) - H(F, M) from the integer counts,
+one ``np.add.reduce`` per histogram of a stack, clamped at 0: never below 0
+and never -0.0.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def _check_bins(bins) -> None:
 
 def joint_histogram(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray,
                     bins: int = 50) -> JointHistogram:
-    """Accumulate the joint intensity histogram over the masked overlap, binning
-    both images whole in the arena with their unmasked pixels at the range's low end."""
+    """Joint intensity histogram of the masked overlap, from fresh masked copies."""
     _check_bins(bins)
     fixed, moving, mask = _image_mask(fixed, moving, mask)
     total = np.count_nonzero(mask)
@@ -124,15 +123,8 @@ def joint_histogram(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray,
         counts = np.zeros((bins, bins))
         counts[0, 0] = total
         return JointHistogram(counts=counts, total=float(total), degenerate=True)
-    values, (cell, index) = _buffer(mask.shape), _buffer((2, *mask.shape), np.intp, 8 * mask.size)
-    for x, (lo, hi), out in zip((fixed, moving), ranges, (cell, index)):
-        values.fill(lo)
-        np.copyto(values, x, where=mask)
-        _bin_index(values, lo, hi, bins, out=out, start=24 * mask.size)
-    cell *= bins
-    cell += index
-    counts = np.bincount(cell.ravel(), minlength=bins * bins)
-    counts[cell.flat[mask.argmin()]] -= mask.size - total  # the unmasked pixels share one cell
+    cell, index = (_bin_index(x[mask], lo, hi, bins) for x, (lo, hi) in zip((fixed, moving), ranges))
+    counts = np.bincount(cell * bins + index, minlength=bins * bins)
     return JointHistogram(counts=counts.reshape(bins, bins).astype(np.float64), total=float(total))
 
 
@@ -163,22 +155,19 @@ def mi_between(fixed: np.ndarray, moving: np.ndarray, mask: np.ndarray, bins: in
 
 
 def correlation_coefficient(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
-    """Pearson r between the masked intensities of two images, from ``np.sum``s over
-    masked copies in the arena from byte 0, so neither argument may live there."""
+    """Pearson r of two images' masked intensities, ``np.sum``s over fresh masked copies."""
     a, b, mask = _image_mask(a, b, mask)
-    index = np.flatnonzero(mask)
-    if index.size < 2:
+    dx, dy = a[mask], b[mask]
+    if dx.size < 2:
         raise ValueError("need at least 2 masked pixels for correlation")
-    dx, dy, product = _buffer((3, index.size))
-    for x, d in ((a, dx), (b, dy)):  # "clip" takes write straight into out=
-        top = np.abs(x.take(index, out=d, mode="clip"), out=product).max()
+    for d in (dx, dy):
+        top = np.abs(d).max()
         if not np.isfinite(top):
             raise ValueError("non-finite intensities in the overlap")
         np.ldexp(d, -np.frexp(top)[1], out=d)  # a power of two (exact): no sum overflows
         d -= d.mean()
-    denom = np.sqrt(np.sum(np.multiply(dx, dx, out=product)))
-    denom *= np.sqrt(np.sum(np.multiply(dy, dy, out=product)))
+    denom = np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy))
     if denom == 0:
         raise ValueError("undefined correlation: zero variance over the mask")
-    r = float(np.sum(np.multiply(dx, dy, out=product)) / denom)
+    r = float(np.sum(dx * dy) / denom)
     return min(1.0, max(-1.0, r))

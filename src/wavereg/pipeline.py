@@ -178,7 +178,8 @@ class _LevelObjective:
         # the range of the masked end pixels; of all masked ones where none is (inf)
         ends = (np.where(inside[:, self.ends], self.end_values, np.inf).min(3) * [1, -1]).T
         for b in np.flatnonzero(np.isinf(ends).any((0, 1))) if np.isinf(ends).any() else ():
-            ends[:, :, b] = [f(self.fixed[:, inside[b]], 1) for f in (np.min, np.max)]
+            ends[:, :, b] = [f.reduce(self.fixed, 1, where=inside[b], initial=i)
+                             for f, i in ((np.minimum, np.inf), (np.maximum, -np.inf))]
         bounds = [*ends, *(f.reduceat(samples, starts, 1) for f in (np.minimum, np.maximum))]
         flat = _degenerate(*bounds)  # [plane, candidate]
         if flat.any():  # a flat pair's cells are never read: any range holding its values

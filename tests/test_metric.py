@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from wavereg.metric import (
     mutual_information,
 )
 from wavereg.fixtures import FixtureSpec, generate_pair
+from wavereg import transform
 from wavereg.transform import AffineParams, invert_params, warp
 
 
@@ -460,8 +462,8 @@ def test_degenerate_of_arrays_is_the_scalar_rule_element_by_element():
                 _degenerate(*broken[:, 3, 5].tolist())
 
 
-def _parent_correlation(a, b, mask):
-    """Pearson r as computed from fresh masked copies, before the arena held them."""
+def _fresh_copy_correlation(a, b, mask):
+    """Pearson r from fresh masked copies, written out without the refusals."""
     dx, dy = a[mask], b[mask]
     for d in (dx, dy):
         np.ldexp(d, -np.frexp(np.abs(d).max())[1], out=d)
@@ -470,11 +472,11 @@ def _parent_correlation(a, b, mask):
     return min(1.0, max(-1.0, r))
 
 
-def test_repeated_correlation_allocates_one_index_of_the_overlap():
-    """After one warm call on a 256x256 pair, ``correlation_coefficient`` keeps its
-    masked copies and products in the arena: at its peak a repeated call has
-    allocated under 600 KiB of traced memory, the 512 KiB list of masked pixels and
-    little more (fresh copies and a product took 1.56 MB), and it returns the same bits."""
+def test_repeated_correlation_allocates_under_three_copies_of_the_overlap():
+    """After one warm call on a 256x256 pair, a repeated ``correlation_coefficient``
+    call peaks under three float64 copies of the masked overlap plus 64 KiB of
+    traced memory: its two masked copies and one product (1,561,944 bytes over
+    65,025 masked pixels), and it returns the bits of fresh copies."""
     rng = np.random.default_rng(5)
     fixed = rng.uniform(size=(256, 256))
     moving, mask = warp(rng.uniform(size=(256, 256)), AffineParams(tx=0.5, ty=-0.25))
@@ -489,14 +491,14 @@ def test_repeated_correlation_allocates_one_index_of_the_overlap():
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    assert value.hex() == expected.hex() == _parent_correlation(moving, fixed, mask).hex()
-    assert max(peaks) < 600 * 1024
+    assert value.hex() == expected.hex() == _fresh_copy_correlation(moving, fixed, mask).hex()
+    assert max(peaks) < 3 * 8 * np.count_nonzero(mask) + 64 * 1024
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (97, 131), (2, 3)])
 def test_correlation_right_after_mi_between_has_the_bits_of_fresh_copies(shape):
-    # mi_between leaves its scratch in the arena, where correlation_coefficient
-    # then copies the masked pixels: r is that of fresh copies, bit for bit
+    # mi_between leaves its binning temporaries in the arena; the correlation
+    # that follows, of fresh masked copies, is unaffected bit for bit
     rng = np.random.default_rng(6)
     fixed = rng.normal(size=shape) * 1e150
     moving = 3.0 - 2.0 * fixed + rng.uniform(-1e149, 1e149, size=shape)
@@ -504,15 +506,15 @@ def test_correlation_right_after_mi_between_has_the_bits_of_fresh_copies(shape):
     mask.flat[:2] = True
     mi_between(fixed, moving, mask)
     assert correlation_coefficient(moving, fixed, mask).hex() == \
-        _parent_correlation(moving, fixed, mask).hex()
+        _fresh_copy_correlation(moving, fixed, mask).hex()
 
 
-def test_repeated_mi_between_allocates_no_whole_overlap_arrays():
-    """After one warm call on a 256x256 pair, ``mi_between`` bins both images
-    in the per-thread arena: at its peak a repeated call has allocated under
-    64 KiB of traced memory (a whole-overlap float64 array is 512 KiB; the
-    50x50 histogram takes about 20 KiB as int64 counts and again as float64),
-    and it returns the same bits."""
+def test_repeated_mi_between_allocates_under_three_copies_of_the_overlap():
+    """After one warm call on a 256x256 pair, a repeated ``mi_between`` call
+    peaks under three float64-sized copies of the masked overlap plus 64 KiB of
+    traced memory, as no more than three of the masked pixels, the two bin
+    indices and their cells are alive at once (1,512,752 bytes over 62,149
+    masked pixels), and it returns the same bits."""
     rng = np.random.default_rng(4)
     fixed = rng.uniform(size=(256, 256))
     moving, mask = warp(rng.uniform(size=(256, 256)), AffineParams(tx=3.5, ty=-2.0, theta=0.1))
@@ -525,4 +527,21 @@ def test_repeated_mi_between_allocates_no_whole_overlap_arrays():
     finally:
         tracemalloc.stop()
     assert value.hex() == expected.hex()
-    assert peak < 64 * 1024
+    assert peak < 3 * 8 * np.count_nonzero(mask) + 64 * 1024
+
+
+def test_final_metrics_leave_the_arena_as_a_warp_laid_it_out():
+    """In a fresh thread, whose arena starts empty, a 256x256 warp lays out the
+    arena at 1,792 KiB; ``mi_between`` and ``correlation_coefficient`` on 256x256
+    images then leave its size as it was."""
+    def run():
+        rng = np.random.default_rng(8)
+        fixed = rng.uniform(size=(256, 256))
+        moving, mask = warp(rng.uniform(size=(256, 256)), AffineParams(tx=1.5, theta=0.05))
+        before = transform._local.arena.size
+        mi_between(fixed, moving, mask)
+        correlation_coefficient(moving, fixed, mask)
+        return before, transform._local.arena.size
+
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(run).result() == (1792 * 1024, 1792 * 1024)

@@ -7,6 +7,7 @@ runs are kept small (64x64, few seeds) and target plumbing correctness.
 import gc
 import hashlib
 import math
+import os
 import platform
 import struct
 import subprocess
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
 
 import wavereg
 from wavereg import (
@@ -508,11 +510,35 @@ def test_golden_geometry(method):
         f"geometry differs under {_numpy_build()}"
 
 
+# a fresh interpreter that checks AVX512_SKX is off, then runs the golden
+# digest and geometry tests of the file it is given (not the test below: its
+# name lacks "golden", and without AVX512_SKX it would skip)
+_GOLDEN_WITHOUT_SKX = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__ as features
+assert not features["AVX512_SKX"], "AVX512_SKX is still on"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "-k", "golden", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not CPU_FEATURES.get("AVX512_SKX"), reason="no AVX512_SKX to turn off")
+def test_registration_bits_survive_turning_off_avx512_skx():
+    """The golden digests and geometry hold with NumPy's AVX512_SKX kernels
+    turned off for the process (AVX2 and AVX512F stay on): a registration's
+    bits do not depend on that SIMD level. The fixture digests, which do
+    (``np.exp`` in the renderers), are not run."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    out = subprocess.run([sys.executable, "-c", _GOLDEN_WITHOUT_SKX, __file__], env=env,
+                         cwd=Path(__file__).parents[1], capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert f"{len(GOLDEN_DIGESTS) + len(GOLDEN_GEOMETRY)} passed" in out.stdout, out.stdout
+
+
 def _numpy_build():
     """The NumPy version and the SIMD flags that pick its kernels: on a
     golden digest mismatch they tell a different build from a changed result."""
-    from numpy._core._multiarray_umath import __cpu_features__ as features
-    flags = (f"{name}={features[name]}" for name in ("AVX2", "AVX512F", "AVX512_SKX"))
+    flags = (f"{name}={CPU_FEATURES[name]}" for name in ("AVX2", "AVX512F", "AVX512_SKX"))
     return ", ".join((f"numpy {np.__version__}", *flags))
 
 
@@ -720,6 +746,35 @@ def test_level_objective_reads_masked_ranges_from_the_ends():
         for start in range(0, len(candidates), 4):
             values = objective._score(np.array([p.as_vector() for p in candidates[start:start + 4]]))
             assert [v.hex() for v in values] == expected[start:start + 4], name
+
+
+def test_level_objective_reads_whole_masked_ranges_without_a_gather():
+    """Where a candidate masks none of a plane's lowest pixels, the fixed range
+    is reduced over the masked pixels in place: on the finest image and
+    sub-band levels of a 128x128 pair, that call's traced peak exceeds the
+    peak of a call whose candidate masks some of every plane's ends by under
+    64 KiB (a copy of the masked fixed pixels is 128 KiB at either level)."""
+    for name, fixed, moving in _end_levels():
+        if not name.endswith("columns-0-2"):
+            continue
+        objective = _LevelObjective(fixed, moving, 50)
+        inner, outer = AffineParams(tx=1.0, ty=-0.5), AffineParams(tx=-4.0, ty=0.3)
+        assert warp(moving, inner)[1].ravel()[objective.ends].any(2).all(), name
+        assert not warp(moving, outer)[1].ravel()[objective.ends[:, 0]].any(), name
+        rows = [np.array([p.as_vector()]) for p in (inner, outer)]
+        for row in rows:  # grows the arena and caches both candidates' binned planes
+            objective._score(row)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for row in rows:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                objective._score(row)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 1024, (name, peaks)
 
 
 def test_level_objective_is_freed_by_reference_counting():
